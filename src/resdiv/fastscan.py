@@ -27,8 +27,9 @@ Linear rows (exactly one of a, b zero).  The quotient gamma/k (k the
 nonzero coefficient) must lie in the ring: gamma*conj(k) = c*conj(k) +
 lam*S*conj(k) must have both half-coordinates divisible by normsq(k), with
 a valid parity, and the resulting factor's norm must divide normsq(N).
-All int64-vectorizable below conservative magnitude guards; past them we
-fall back to an exact per-point loop over the pool.
+The same three tests run at every magnitude: on int64 arrays below
+conservative guards, on arrays of exact Python ints past them.  normsq(N)
+may have any size; against int64 norms it is reduced digit by digit.
 """
 
 from __future__ import annotations
@@ -37,23 +38,12 @@ from math import isqrt
 
 import numpy as np
 
-from .rings import QuadInt, _parity_ok
-from .remseq import ProblemInstance
+from .rings import QuadInt
+from .remseq import ProblemInstance, _is_prime64
 from .solver import candidate_radius
 
 _SPLIT_PRIME_COUNT = 8
 _INT64_GUARD = 1 << 62
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            return False
-        k += 1
-    return True
 
 
 def _split_primes(d: int, count: int = _SPLIT_PRIME_COUNT) -> tuple[int, ...]:
@@ -62,7 +52,7 @@ def _split_primes(d: int, count: int = _SPLIT_PRIME_COUNT) -> tuple[int, ...]:
     out = []
     p = 13
     while len(out) < count:
-        if _is_prime(p) and (2 * d) % p and pow(d % p, (p - 1) // 2, p) == 1:
+        if _is_prime64(p) and (2 * d) % p and pow(d % p, (p - 1) // 2, p) == 1:
             out.append(p)
         p += 2
     return tuple(out)
@@ -184,9 +174,37 @@ def _quad_row(a, b, c, inst: ProblemInstance, pool: _Pool) -> list[QuadInt]:
     return [c + QuadInt(int(pool.lu[i]), int(pool.lv[i]), d) * S for i in surv]
 
 
+def _mod_small(n: int, m: np.ndarray) -> np.ndarray:
+    """n mod m, exactly, for a Python int n >= 0 and int64 1 <= m < 2^62.
+
+    Horner over n's top 63 bits, then its base-2^k digits with
+    k = 63 - bitlen(max m): the running remainder stays below max m, so
+    acc*2^k + digit < 2^63 and no step wraps, however large n is.  For
+    n < 2^63 this is one int64 remainder.
+    """
+    k = 63 - int(m.max()).bit_length()
+    shift = -(-max(n.bit_length() - 63, 0) // k) * k
+    acc = (n >> shift) % m
+    for s in range(shift - k, -1, -k):
+        acc = ((acc << k) | ((n >> s) & ((1 << k) - 1))) % m
+    return acc
+
+
 def _linear_row(a, b, c, inst: ProblemInstance, pool: _Pool) -> list[QuadInt]:
+    """Pool gammas of a row with exactly one of a, b nonzero; superset-safe.
+
+    Call the nonzero coefficient k.  The row reads k*x = gamma (a != 0) or
+    k*y = gamma (b != 0), so a solution forces q = gamma/k into O_K: both
+    half-coordinates of w = gamma*conj(k) divisible by normsq(k), with a
+    valid parity.  Its factor S*q + r (resp. S*q + r') divides N, so its
+    norm divides normsq(N).  All three tests are exact integer arithmetic
+    on necessary conditions, so no gamma that carries a solution is
+    dropped.  Each stage runs on int64 arrays when its magnitude bound
+    stays inside _INT64_GUARD and on Python-int (object) arrays otherwise;
+    where ne fits int64, normsq(N) is reduced against it by _mod_small.
+    """
     k_el = a if a else b
-    quot_gives_x = bool(a)
+    base = inst.r if a else inst.rPrime
     d = pool.d
     S = inst.S
     nk = k_el.normsq()
@@ -195,40 +213,35 @@ def _linear_row(a, b, c, inst: ProblemInstance, pool: _Pool) -> list[QuadInt]:
     msc = S * kc
     maxlam = 2 * (pool.rbound + 2)
     bound_w = max(abs(K.u), abs(K.v)) + maxlam * (abs(msc.u) + (-d) * abs(msc.v))
+    lu, lv = pool.lu, pool.lv
+    if bound_w >= _INT64_GUARD or nk >= _INT64_GUARD:
+        lu, lv = lu.astype(object), lv.astype(object)
 
-    if bound_w < _INT64_GUARD and nk < _INT64_GUARD:
-        wu = K.u + (pool.lu * msc.u + d * pool.lv * msc.v) // 2
-        wv = K.v + (pool.lu * msc.v + pool.lv * msc.u) // 2
-        keep = (wu % nk == 0) & (wv % nk == 0)
-        idx = np.nonzero(keep)[0]
-        if idx.size:
-            qu = wu[idx] // nk
-            qv = wv[idx] // nk
-            if d % 4 == 1:
-                par = (qu - qv) % 2 == 0
-            else:
-                par = ((qu % 2) == 0) & ((qv % 2) == 0)
-            idx, qu, qv = idx[par], qu[par], qv[par]
-        if idx.size:
-            # the factor this quotient induces must have norm dividing
-            # normsq(N); vectorized when magnitudes stay inside int64
-            base = inst.r if quot_gives_x else inst.rPrime
-            n_n = inst.N.normsq()
-            bq = bound_w // nk + 2
-            be = max(abs(base.u), abs(base.v)) + bq * (abs(S.u) + (-d) * abs(S.v))
-            if n_n < 2**63 and be * be * (1 - d) < _INT64_GUARD:
-                eu = (S.u * qu + d * S.v * qv) // 2 + base.u
-                ev = (S.u * qv + S.v * qu) // 2 + base.v
-                ne = (eu * eu - d * ev * ev) // 4
-                ok = (ne != 0) & (n_n % np.maximum(ne, 1) == 0)
-                idx = idx[ok]
-        picked = idx.tolist()
+    wu = K.u + (lu * msc.u + d * lv * msc.v) // 2
+    wv = K.v + (lu * msc.v + lv * msc.u) // 2
+    idx = np.nonzero((wu % nk == 0) & (wv % nk == 0))[0]
+    qu = wu[idx] // nk
+    qv = wv[idx] // nk
+    if d % 4 == 1:
+        par = (qu - qv) % 2 == 0
     else:
-        picked = []
-        for i in range(pool.lu.size):
-            w = K + QuadInt(int(pool.lu[i]), int(pool.lv[i]), d) * msc
-            if w.u % nk == 0 and w.v % nk == 0 and _parity_ok(w.u // nk, w.v // nk, d):
-                picked.append(i)
+        par = (qu % 2 == 0) & (qv % 2 == 0)
+    idx, qu, qv = idx[par], qu[par], qv[par]
+    if idx.size == 0:
+        return []
+
+    bq = bound_w // nk + 2
+    be = max(abs(base.u), abs(base.v)) + bq * (abs(S.u) + (-d) * abs(S.v))
+    small = be * be * (1 - d) < _INT64_GUARD
+    dtype = np.int64 if small else object
+    qu, qv = qu.astype(dtype, copy=False), qv.astype(dtype, copy=False)
+    eu = (S.u * qu + d * S.v * qv) // 2 + base.u
+    ev = (S.u * qv + S.v * qu) // 2 + base.v
+    ne = (eu * eu - d * ev * ev) // 4
+    n_n = inst.N.normsq()
+    ne1 = np.maximum(ne, 1)
+    rem = _mod_small(n_n, ne1) if small else n_n % ne1
+    picked = idx[(ne != 0) & (rem == 0)].tolist()
     return [c + QuadInt(int(pool.lu[i]), int(pool.lv[i]), d) * S for i in picked]
 
 

@@ -18,7 +18,9 @@ For Z[x] instances the chain lives in Q[x]; exact rationals throughout.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from math import gcd
 
 from .base import InvalidInstanceError
 from .polynomials import Poly
@@ -73,23 +75,77 @@ class RemChain:
         return tuple(zip(self.a, self.b, self.c))
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime64(n: int) -> bool:
+    """Miller-Rabin on the first twelve prime bases; exact for n < 2^64."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho(n: int) -> int:
+    """A proper factor of an odd composite n (Pollard's rho, Floyd cycles)."""
+    c = 1
+    while True:
+        x = y = 2
+        g = 1
+        while g == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            g = gcd(x - y, n)
+        if g != n:
+            return g
+        c += 1
+
+
+def _prime_factors(n: int) -> list[int]:
+    """Prime factors of n >= 1, with multiplicity."""
+    if n == 1:
+        return []
+    if n % 2 == 0:
+        return [2] + _prime_factors(n // 2)
+    if _is_prime64(n):
+        return [n]
+    g = _rho(n)
+    return _prime_factors(g) + _prime_factors(n // g)
+
+
 def _signed_divisors(n: int) -> tuple[int, ...]:
-    """All divisors of |n|, both signs, ascending."""
+    """All divisors of |n|, both signs, ascending.
+
+    |n| < 2^64 is factored by Miller-Rabin and Pollard's rho, so the cost
+    grows with the fourth root of |n| at worst, not its square root.
+    """
     n = abs(n)
     if n >= 1 << 64:
         raise InvalidInstanceError(
             "leading-coefficient quotient too large to factor; pass lead_list"
         )
-    small = []
-    big = []
-    k = 1
-    while k * k <= n:
-        if n % k == 0:
-            small.append(k)
-            if k != n // k:
-                big.append(n // k)
-        k += 1
-    pos = small + big[::-1]
+    if n == 0:
+        return ()
+    pos = [1]
+    for p, e in Counter(_prime_factors(n)).items():
+        pos = [q * p**i for q in pos for i in range(e + 1)]
+    pos.sort()
     return tuple(sorted(-p for p in pos) + pos)
 
 

@@ -2,12 +2,19 @@ import random
 from math import isqrt
 
 import numpy as np
-from conftest import GENERAL_DS, plant_quad
+from conftest import GENERAL_DS, plant_quad, rand_quad, rand_quad_disk
 
 from resdiv.algorithms import find_divisors
-from resdiv.fastscan import _is_prime, _split_primes, fast_row_candidates, get_pool
-from resdiv.remseq import build_chain
-from resdiv.rings import QuadInt
+from resdiv.base import InvalidInstanceError
+from resdiv.bench import sample_instance
+from resdiv.fastscan import (
+    _mod_small,
+    _split_primes,
+    fast_row_candidates,
+    get_pool,
+)
+from resdiv.remseq import _is_prime64, build_chain, build_instance
+from resdiv.rings import QuadInt, quad_ring
 from resdiv.solver import SolutionPair, enumerate_residues, solve_system
 
 
@@ -23,7 +30,7 @@ def test_split_primes_properties():
         assert len(set(primes)) == 8
         for p in primes:
             assert p >= 13
-            assert _is_prime(p)
+            assert _is_prime64(p)
             assert (2 * d) % p != 0
             assert pow(d % p, (p - 1) // 2, p) == 1  # d is a QR: p splits
 
@@ -90,6 +97,72 @@ def test_fast_never_drops_exact_solutions():
                 assert fast >= exact
 
 
+def _plant_past_int64(rng, d, ns_lo, ns_hi):
+    """Instance with normsq(N) >= 2^63 and a small cofactor coordinate y,
+    so the final chain row (a_t = 0) carries the planted solution."""
+    ring = quad_ring(d)
+    while True:
+        s_el = rand_quad(rng, d, ns_lo, ns_hi)
+        n_s = s_el.normsq()
+        r_el = rand_quad_disk(rng, d, n_s // 2)
+        r2_el = rand_quad_disk(rng, d, n_s // 2)
+        x_el = rand_quad_disk(rng, d, isqrt(n_s) // 4)
+        y_el = rand_quad_disk(rng, d, 2)
+        n_el = (s_el * x_el + r_el) * (s_el * y_el + r2_el)
+        if not n_el or not 1 << 63 <= n_el.normsq() < n_s**3:
+            continue
+        try:
+            return build_instance(ring, n_el, s_el, r_el)
+        except InvalidInstanceError:
+            continue
+
+
+def test_fast_never_drops_exact_solutions_past_int64():
+    # normsq(N) >= 2^63 in every ring: the linear-row norm test reduces
+    # normsq(N) by digits (small S) or runs on Python ints (large S), and
+    # every row, the final a_t = 0 row included, keeps every exact pair
+    rng = random.Random(77)
+    final_hits = 0
+    for d, rb in ((-1, 12), (-2, 6), (-3, 6), (-7, 6), (-11, 6)):
+        pool = get_pool(d, rb)
+        for ns_lo, ns_hi in ((1 << 24, 1 << 32), (1 << 56, 1 << 64)):
+            inst = _plant_past_int64(rng, d, ns_lo, ns_hi)
+            chain = build_chain(inst)
+            for k in range(1, chain.t + 1):
+                a, b, c = chain.a[k], chain.b[k], chain.c[k]
+                fast = _row_pairs(inst, fast_row_candidates(a, b, c, inst, pool), a, b)
+                exact = _row_pairs(inst, enumerate_residues(c, inst.S, rb, inst.ring), a, b)
+                assert fast >= exact
+                final_hits += k == chain.t and bool(exact)
+    assert final_hits >= 8
+
+
+def test_mod_small_matches_python_mod():
+    rng = random.Random(76)
+    mixed = [1, 2, 3, (1 << 62) - 1]
+    mixed += [rng.randrange(1, 1 << rng.randrange(1, 63)) for _ in range(60)]
+    for ms in (mixed, [1], [(1 << 62) - 1], [1, 7, 1000, 65537]):
+        m = np.array(ms, dtype=np.int64)
+        for bits in (0, 1, 30, 62, 63, 64, 100, 257, 400):
+            for _ in range(4):
+                n = rng.randrange(1 << bits) if bits else 0
+                assert _mod_small(n, m).tolist() == [n % v for v in ms]
+
+
+def test_final_row_does_not_flood_the_solver():
+    # protocol samples have normsq(N) >= 2^63; the final row (a_t = 0)
+    # must still be cut by the norm test instead of handing the exact
+    # solver every pool point
+    rng = random.Random(78)
+    pool_size = get_pool(-1).lu.size
+    for k in (12, 25, 40):
+        inst = sample_instance(rng, k)
+        assert inst.N.normsq() >= 1 << 63
+        fast = find_divisors(inst)
+        assert fast.stats["candidates"] < pool_size
+        assert fast.divisors == find_divisors(inst, engine="exact").divisors
+
+
 def test_engines_agree_gaussian_full_radius():
     rng = random.Random(72)
     for _ in range(12):
@@ -114,7 +187,8 @@ def test_engines_agree_general_reduced_radius():
 
 def test_linear_row_bigint_fallback():
     # coordinates near 1e9 push the row magnitudes past the int64 guard,
-    # forcing the per-point loop; results must match the reference walk
+    # so the linear rows run on arrays of Python ints; results must match
+    # the reference walk
     rng = random.Random(74)
     inst, (x, y) = plant_quad(rng, -1, 10**18, 4 * 10**18)
     fast = find_divisors(inst, engine="fast")

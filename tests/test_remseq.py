@@ -7,7 +7,13 @@ from conftest import GENERAL_DS, plant_poly, plant_quad, plant_rational
 
 from resdiv.base import InvalidInstanceError
 from resdiv.polynomials import Poly
-from resdiv.remseq import build_chain, build_instance, chain_dump, congruence_witness
+from resdiv.remseq import (
+    _signed_divisors,
+    build_chain,
+    build_instance,
+    chain_dump,
+    congruence_witness,
+)
 from resdiv.rings import RING_Z, RING_ZI, RING_ZX, QuadInt, quad_ring, reduce_mod
 
 
@@ -199,3 +205,29 @@ def test_chain_c_side_reduced():
         chain = build_chain(inst)
         for ck in chain.c:
             assert reduce_mod(ck, inst.S, inst.ring) == ck
+
+
+def _trial_divisors(n):
+    low = [k for k in range(1, isqrt(n) + 1) if n % k == 0]
+    pos = sorted(set(low + [n // k for k in low]))
+    return tuple(sorted(-p for p in pos) + pos)
+
+
+def test_signed_divisors_matches_trial_division():
+    rng = random.Random(11)
+    ns = [1, 2, 4, 36, 720720, 9999991, 2**23, 3**14]
+    ns += [rng.randrange(1, 10**7) for _ in range(300)]
+    for n in ns:
+        assert _signed_divisors(n) == _trial_divisors(n)
+        assert _signed_divisors(-n) == _signed_divisors(n)
+
+
+def test_signed_divisors_near_2_63():
+    p = 2**63 - 25  # the largest prime below 2^63
+    assert _signed_divisors(p) == (-p, -1, 1, p)
+    q1, q2 = 3037000453, 3037000493  # the two primes just below 2^31.5
+    n = q1 * q2
+    assert _signed_divisors(n) == (-n, -q2, -q1, -1, 1, q1, q2, n)
+    assert _signed_divisors(q2 * q2) == (-q2 * q2, -q2, -1, 1, q2, q2 * q2)
+    with pytest.raises(InvalidInstanceError):
+        _signed_divisors(1 << 64)
