@@ -17,11 +17,14 @@ function of the shift gamma = c + lam*S, is itself a quadratic in lam:
 with beta = S*r'*b - S*r*a and delta = b*(r*r' - N).  A ring solution x
 forces z = 2*A2*x + A1 to satisfy z^2 = D, so D must be a square in the
 residue ring O_K/p for every split prime p.  O_K/p is F_p x F_p there, and
-squareness of D mod p depends only on lam mod p, so each prime yields a
-p-by-p boolean table over lam classes; eight tables cut the pool by about
-4^-8 and the survivors go to the exact solver, which verifies everything
-anyway.  Nothing here is trusted for soundness, only for not discarding
-true solutions: z in O_K implies its image mod p is a square, always.
+squareness of D mod p depends only on the class of lam mod p, one of p^2.
+Each of eight primes tests the points that survived the primes before it:
+while they outnumber the p^2 classes, D is evaluated once per class and
+gathered; after that, only at the survivors' own classes.  The eight tests
+cut the pool by about 4^-8 and the survivors go to the exact solver, which
+verifies everything anyway.  Nothing here is trusted for soundness, only
+for not discarding true solutions: z in O_K implies its image mod p is a
+square, always.
 
 Linear rows (exactly one of a, b zero).  The quotient gamma/k (k the
 nonzero coefficient) must lie in the ring: gamma*conj(k) = c*conj(k) +
@@ -62,17 +65,16 @@ class _Pool:
     """Per-(d, radius) candidate lattice and prime tables, built once.
 
     lu, lv hold the half-coordinates of every lam with
-    lu^2 + |d|*lv^2 <= 4*(radius+2)^2 and a valid parity; that disk covers
-    every lam with normsq(c + lam*S) < radius^2 * normsq(S) whenever c is
-    reduced mod S.  sq[k] is the squareness table of O_K/p_k indexed by the
-    half-coordinates mod p_k, and idx0 pre-flattens the pool's class index
-    for the first prime (the only full-pool gather per row).
+    lu^2 + |d|*lv^2 <= 4*(radius+2)^2 and a valid parity, sorted by
+    (norm, lu, lv); that disk covers every lam with
+    normsq(c + lam*S) < radius^2 * normsq(S) whenever c is reduced mod S.
+    For each split prime p_k, cls[k] is every point's flat class
+    (lu mod p_k)*p_k + (lv mod p_k), int16 because p_k^2 < 2^15 in all five
+    rings (the eighth split prime is at most 83), and sq[k] is the
+    flattened squareness table of O_K/p_k over those classes.
     """
 
-    __slots__ = (
-        "d", "rbound", "lu", "lv", "l2u", "l2v",
-        "primes", "sqrt_d", "inv2", "sq", "idx0",
-    )
+    __slots__ = ("d", "rbound", "lu", "lv", "primes", "inv2", "sq", "cls")
 
     def __init__(self, d: int, rbound: int):
         self.d = d
@@ -84,36 +86,34 @@ class _Pool:
         vs = np.arange(-vmax, vmax + 1, dtype=np.int64)
         uu = us[:, None]
         vv = vs[None, :]
-        inside = uu * uu + (-d) * vv * vv <= box
+        norm4 = uu * uu + (-d) * vv * vv
+        inside = norm4 <= box
         if d % 4 == 1:
             inside &= (uu - vv) % 2 == 0
         else:
             inside &= ((uu % 2) == 0) & ((vv % 2) == 0)
-        lu = np.broadcast_to(uu, inside.shape)[inside]
-        lv = np.broadcast_to(vv, inside.shape)[inside]
-        norm4 = lu * lu + (-d) * lv * lv
-        order = np.lexsort((lv, lu, norm4))
-        self.lu = lu[order]
-        self.lv = lv[order]
-        self.l2u = (self.lu * self.lu + d * self.lv * self.lv) // 2
-        self.l2v = self.lu * self.lv
+        flat = np.flatnonzero(inside)
+        # row-major grid index orders by (lu, lv), so this key is (norm, lu, lv)
+        flat = flat[np.argsort(norm4[inside] * inside.size + flat)]
+        iu, iv = np.divmod(flat, vs.size)
+        self.lu = us.take(iu)
+        self.lv = vs.take(iv)
 
         self.primes = _split_primes(d)
-        self.sqrt_d = []
         self.inv2 = []
         self.sq = []
+        self.cls = []
         for p in self.primes:
             s = next(z for z in range(1, p) if z * z % p == d % p)
-            self.sqrt_d.append(s)
             self.inv2.append((p + 1) // 2)
             ar = np.arange(p, dtype=np.int64)
             qr = np.zeros(p, dtype=bool)
             qr[(ar * ar) % p] = True
             plus = ((ar[:, None] + ar[None, :] * s) * self.inv2[-1]) % p
             minus = ((ar[:, None] - ar[None, :] * s) * self.inv2[-1]) % p
-            self.sq.append(qr[plus] & qr[minus])
-        p0 = self.primes[0]
-        self.idx0 = ((self.lu % p0) * p0 + (self.lv % p0)).astype(np.int32)
+            self.sq.append((qr[plus] & qr[minus]).ravel())
+            self.cls.append(((us % p) * p).astype(np.int16).take(iu)
+                            + (vs % p).astype(np.int16).take(iv))
 
 
 _POOLS: dict[tuple[int, int], _Pool] = {}
@@ -128,14 +128,12 @@ def get_pool(d: int, rbound: int | None = None) -> _Pool:
     return _POOLS[key]
 
 
-def _disc_table(E: QuadInt, F: QuadInt, G: QuadInt, pool: _Pool, k: int):
-    """p x p boolean: is D(lam) a square in O_K/p, by lam class."""
+def _disc_sq(E: QuadInt, F: QuadInt, G: QuadInt, pool: _Pool, k: int, classes):
+    """Is D(lam) a square in O_K/p_k, at each flat lam class in classes."""
     p = pool.primes[k]
     i2 = pool.inv2[k]
     dp = pool.d % p
-    ar = np.arange(p, dtype=np.int64)
-    la = ar[:, None]
-    lb = ar[None, :]
+    la, lb = np.divmod(classes.astype(np.int64), p)
     l2u = (((la * la + dp * lb * lb) % p) * i2) % p
     l2v = (la * lb) % p
     eu, ev = E.u % p, E.v % p
@@ -145,7 +143,7 @@ def _disc_table(E: QuadInt, F: QuadInt, G: QuadInt, pool: _Pool, k: int):
           + ((fu * la + dp * fv * lb) % p) * i2 + gu) % p
     dv = (((eu * l2v + ev * l2u) % p) * i2
           + ((fu * lb + fv * la) % p) * i2 + gv) % p
-    return pool.sq[k][du, dv]
+    return pool.sq[k].take(du * p + dv)
 
 
 def _quad_row(a, b, c, inst: ProblemInstance, pool: _Pool) -> list[QuadInt]:
@@ -162,12 +160,12 @@ def _quad_row(a, b, c, inst: ProblemInstance, pool: _Pool) -> list[QuadInt]:
 
     surv = None
     for k, p in enumerate(pool.primes):
-        table = _disc_table(E, F, G, pool, k)
-        if surv is None:
-            surv = np.nonzero(table.flat[pool.idx0])[0]
+        cls = pool.cls[k] if surv is None else pool.cls[k].take(surv)
+        if cls.size > p * p:
+            ok = _disc_sq(E, F, G, pool, k, np.arange(p * p)).take(cls)
         else:
-            cls = table[pool.lu[surv] % p, pool.lv[surv] % p]
-            surv = surv[cls]
+            ok = _disc_sq(E, F, G, pool, k, cls)
+        surv = np.flatnonzero(ok) if surv is None else surv[ok]
         if surv.size == 0:
             return []
     d = pool.d

@@ -8,7 +8,9 @@ from resdiv.algorithms import find_divisors
 from resdiv.base import InvalidInstanceError
 from resdiv.bench import sample_instance
 from resdiv.fastscan import (
+    _disc_sq,
     _mod_small,
+    _quad_row,
     _split_primes,
     fast_row_candidates,
     get_pool,
@@ -38,9 +40,13 @@ def test_split_primes_properties():
 def test_pool_is_cached_and_sorted():
     pool = get_pool(-1, 5)
     assert get_pool(-1, 5) is pool
-    norms = pool.lu * pool.lu + pool.lv * pool.lv
-    assert (np.diff(norms) >= 0).all()
     assert pool.lu[0] == 0 and pool.lv[0] == 0
+    # witnesses' (i, j) follow the pool order, so pin all of it
+    for d, rb in ((-1, 5), (-3, 4), (-11, 3)):
+        pool = get_pool(d, rb)
+        lu, lv = pool.lu.tolist(), pool.lv.tolist()
+        keys = [(u * u - d * v * v, u, v) for u, v in zip(lu, lv)]
+        assert keys == sorted(set(keys))
 
 
 def test_pool_covers_the_lambda_disk():
@@ -62,14 +68,63 @@ def test_pool_covers_the_lambda_disk():
         assert got == expected
 
 
-def test_pool_squares_match_element_squares():
-    pool = get_pool(-7, 4)
+def test_pool_class_index_matches_coordinates():
     rng = random.Random(2)
-    for _ in range(40):
-        i = rng.randrange(pool.lu.size)
-        lam = QuadInt(int(pool.lu[i]), int(pool.lv[i]), -7)
-        sq = lam * lam
-        assert (int(pool.l2u[i]), int(pool.l2v[i])) == (sq.u, sq.v)
+    for d in (-1,) + GENERAL_DS:
+        pool = get_pool(d, 4)
+        for k, p in enumerate(pool.primes):
+            assert pool.cls[k].dtype == np.int16
+            assert (pool.cls[k] == (pool.lu % p) * p + pool.lv % p).all()
+            E, F, G = (rand_quad(rng, d, 1, 10**12) for _ in range(3))
+            full = _disc_sq(E, F, G, pool, k, np.arange(p * p))
+            some = np.array(rng.sample(range(p * p), 40), dtype=np.int16)
+            assert (_disc_sq(E, F, G, pool, k, some) == full[some]).all()
+
+
+def _is_square_mod(z, p):
+    return z % p == 0 or pow(z, (p - 1) // 2, p) == 1
+
+
+def test_quad_row_matches_discriminant_reference():
+    # every pool point whose D(lam) is a square in both F_p components for
+    # all eight primes, in pool order, and no other; each pool exceeds the
+    # first prime's p^2 classes, so the per-class table runs first and the
+    # survivor-only evaluation after it
+    rng = random.Random(79)
+    for d, rb in ((-1, 8), (-2, 12), (-3, 8), (-7, 14), (-11, 16)):
+        pool = get_pool(d, rb)
+        assert pool.lu.size > pool.primes[0] ** 2
+        roots = [next(z for z in range(1, p) if z * z % p == d % p) for p in pool.primes]
+        lams = [QuadInt(u, v, d) for u, v in zip(pool.lu.tolist(), pool.lv.tolist())]
+        survivor_rows = 0
+        for _ in range(3):
+            inst, _ = plant_quad(rng, d, 30, 1000)
+            S, r, rp, N = inst.S, inst.r, inst.rPrime, inst.N
+            chain = build_chain(inst)
+            for k in range(1, chain.t + 1):
+                a, b, c = chain.a[k], chain.b[k], chain.c[k]
+                if not a or not b:
+                    continue
+                core = S * S * c + S * rp * b - S * r * a
+                s3 = S * S * S
+                E = s3 * s3
+                F = 2 * s3 * core + 4 * s3 * S * a * r
+                G = core * core + 4 * s3 * a * r * c + 4 * S * S * a * b * (r * rp - N)
+                first = 0
+                expected = []
+                for lam in lams:
+                    D = E * lam * lam + F * lam + G
+                    ok = [
+                        _is_square_mod((D.u + D.v * s) * ((p + 1) // 2), p)
+                        and _is_square_mod((D.u - D.v * s) * ((p + 1) // 2), p)
+                        for p, s in zip(pool.primes, roots)
+                    ]
+                    first += ok[0]
+                    if all(ok):
+                        expected.append(c + lam * S)
+                assert _quad_row(a, b, c, inst, pool) == expected
+                survivor_rows += 0 < first <= pool.primes[1] ** 2
+        assert survivor_rows
 
 
 def _row_pairs(inst, gammas, a, b):
