@@ -21,6 +21,7 @@ from . import fastscan
 from .remseq import ProblemInstance, build_chain, build_instance
 from .rings import RING_ZI, RING_ZX, Element, RingId, exact_div
 from .solver import (
+    RowSystem,
     candidate_radius,
     enumerate_residues,
     poly_rhs_candidates,
@@ -37,9 +38,12 @@ class DivisorReport:
 
     witnesses[d] = (x, y, (i, j)): the solution pair behind d and where it
     was first discovered (chain row i, j-th accepted pair of that row; the
-    two trivial checks count as row 0).  stats carries t, candidates
-    (gammas handed to the exact solver), solves (accepted pairs before
-    deduplication), and seconds.
+    two trivial checks count as row 0).  stats carries t, the chain rows
+    by kind (quad_rows with a and b nonzero, linear_rows with one of them
+    zero), candidates (gammas handed to the exact solver), roots
+    (candidates whose discriminant passed every square test and reached
+    root extraction), solves (accepted pairs before deduplication), and
+    seconds.
     """
 
     divisors: tuple[Element, ...]
@@ -84,8 +88,7 @@ def find_divisors(
     t0 = time.perf_counter()
     chain = build_chain(inst)
     found: dict[Element, Witness] = {}
-    ncand = 0
-    nacc = 0
+    ncand = nacc = nroots = nquad = nlin = 0
 
     for j, pair in enumerate(trivial_divisor_check(inst)):
         dv = inst.S * pair.x + inst.r
@@ -101,26 +104,39 @@ def find_divisors(
 
     for i in range(1, chain.t + 1):
         a, b, c = chain.a[i], chain.b[i], chain.c[i]
+        if a and b:
+            nquad += 1
+        elif a or b:
+            nlin += 1
         if inst.ring.is_poly:
-            gammas = poly_rhs_candidates(c, a, b, inst)
-        elif pool is not None:
-            gammas = fastscan.fast_row_candidates(a, b, c, inst, pool)
+            shifts = poly_rhs_candidates(a, b, inst)
+            cands = [(c + lam * inst.S if lam else c, lam) for lam in shifts]
         else:
-            gammas = enumerate_residues(c, inst.S, radius, inst.ring)
-        ncand += len(gammas)
+            if pool is not None:
+                gammas = fastscan.fast_row_candidates(a, b, c, inst, pool)
+            else:
+                gammas = enumerate_residues(c, inst.S, radius, inst.ring)
+            cands = [(gamma, None) for gamma in gammas]
+        ncand += len(cands)
+        row = RowSystem(a, b, c, inst) if a and b and cands else None
         j = 0
-        for gamma in gammas:
-            for pair in solve_system(a, b, gamma, inst):
+        for gamma, lam in cands:
+            for pair in solve_system(a, b, gamma, inst, row, lam):
                 dv = inst.S * pair.x + inst.r
                 found.setdefault(dv, (pair.x, pair.y, (i, j)))
                 j += 1
                 nacc += 1
+        if row is not None:
+            nroots += row.roots
 
     _verify_report(inst, found)
     divisors = tuple(sorted(found, key=_sort_key(inst.ring)))
     stats = {
         "t": chain.t,
+        "quad_rows": nquad,
+        "linear_rows": nlin,
         "candidates": ncand,
+        "roots": nroots,
         "solves": nacc,
         "seconds": time.perf_counter() - t0,
     }

@@ -68,12 +68,8 @@ def _alpha(n, s) -> float:
 
 
 def _stats_pairs(rep: DivisorReport, alpha: float | None):
-    pairs = [
-        ("t", str(rep.stats["t"])),
-        ("candidates", str(rep.stats["candidates"])),
-        ("solves", str(rep.stats["solves"])),
-        ("seconds", f"{rep.stats['seconds']:.6g}"),
-    ]
+    pairs = [(k, str(v)) for k, v in rep.stats.items() if k != "seconds"]
+    pairs.append(("seconds", f"{rep.stats['seconds']:.6g}"))
     if alpha is not None:
         pairs.append(("alpha", f"{alpha:.6g}"))
     return pairs

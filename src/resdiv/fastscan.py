@@ -7,14 +7,9 @@ prunes the disk with numpy before anything exact runs.
 
 Quadratic rows (a != 0 and b != 0).  Eliminating y from the row line and
 the product equation leaves a quadratic in x whose discriminant, as a
-function of the shift gamma = c + lam*S, is itself a quadratic in lam:
-
-    D(lam) = E*lam^2 + F*lam + G
-    E = S^6
-    F = 2*S^3*(S^2*c + beta) + 4*S^4*a*r
-    G = (S^2*c + beta)^2 + 4*S^3*a*r*c + 4*S^2*a*delta
-
-with beta = S*r'*b - S*r*a and delta = b*(r*r' - N).  A ring solution x
+function of the shift gamma = c + lam*S, is the quadratic
+D(lam) = E*lam^2 + F*lam + G of the row (derived in the solver module
+docstring; solver.RowSystem builds E, F and G).  A ring solution x
 forces z = 2*A2*x + A1 to satisfy z^2 = D, so D must be a square in the
 residue ring O_K/p for every split prime p.  O_K/p is F_p x F_p there, and
 squareness of D mod p depends only on the class of lam mod p, one of p^2.
@@ -43,7 +38,7 @@ import numpy as np
 
 from .rings import QuadInt
 from .remseq import ProblemInstance, _is_prime64
-from .solver import candidate_radius
+from .solver import RowSystem, candidate_radius
 
 _SPLIT_PRIME_COUNT = 8
 _INT64_GUARD = 1 << 62
@@ -147,16 +142,7 @@ def _disc_sq(E: QuadInt, F: QuadInt, G: QuadInt, pool: _Pool, k: int, classes):
 
 
 def _quad_row(a, b, c, inst: ProblemInstance, pool: _Pool) -> list[QuadInt]:
-    S, r, rp, N = inst.S, inst.r, inst.rPrime, inst.N
-    s2 = S * S
-    s3 = s2 * S
-    beta = S * rp * b - S * r * a
-    delta = b * (r * rp - N)
-    core = s2 * c + beta
-    ar_ = a * r
-    E = s3 * s3
-    F = 2 * (s3 * core) + 4 * (s3 * (S * ar_))
-    G = core * core + 4 * (s3 * (ar_ * c)) + 4 * (s2 * (a * delta))
+    E, F, G = RowSystem(a, b, c, inst).coeffs()
 
     surv = None
     for k, p in enumerate(pool.primes):
@@ -168,7 +154,7 @@ def _quad_row(a, b, c, inst: ProblemInstance, pool: _Pool) -> list[QuadInt]:
         surv = np.flatnonzero(ok) if surv is None else surv[ok]
         if surv.size == 0:
             return []
-    d = pool.d
+    d, S = pool.d, inst.S
     return [c + QuadInt(int(pool.lu[i]), int(pool.lv[i]), d) * S for i in surv]
 
 

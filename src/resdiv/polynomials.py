@@ -14,7 +14,7 @@ while the remainder chains live over the rationals).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Iterable, Union
 
 from .base import DivResult, MINUS_INFINITY, RING_OPS
@@ -137,16 +137,20 @@ class Poly:
         if other is None:
             return NotImplemented
         RING_OPS.tick()
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
+        if not self.coeffs or not other.coeffs:
             return Poly.zero()
-        out: list[Coeff] = [0] * (len(a) + len(b) - 1)
+        # integer convolution of the numerators over one common denominator
+        # per factor: one Fraction per output coefficient, not per product
+        a, da = _over_common_denominator(self.coeffs)
+        b, db = _over_common_denominator(other.coeffs)
+        out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca == 0:
                 continue
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
-        return Poly(out)
+        den = da * db
+        return Poly(out if den == 1 else [Fraction(v, den) for v in out])
 
     __rmul__ = __mul__
 
@@ -161,6 +165,13 @@ class Poly:
             base = base * base
             n >>= 1
         return out
+
+    def __call__(self, x0: Coeff) -> Coeff:
+        """Value at a rational point, by Horner's rule."""
+        acc: Coeff = 0
+        for c in reversed(self.coeffs):
+            acc = acc * x0 + c
+        return acc
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Poly):
@@ -198,6 +209,13 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self})"
+
+
+def _over_common_denominator(cs: tuple[Coeff, ...]) -> tuple[list[int], int]:
+    """(numerators, den) with cs[i] == numerators[i] / den, den the lcm of
+    the coefficients' denominators (1 for an integral polynomial)."""
+    den = lcm(*[c.denominator for c in cs])
+    return [c.numerator * (den // c.denominator) for c in cs], den
 
 
 def _coerce(v: object) -> Poly | None:

@@ -101,12 +101,14 @@ def test_criterion_4_oracle_equivalence(zi_corpus, general_corpora, poly_corpus,
     t0 = time.perf_counter()
     mismatches = []
     counts = {}
+    seconds = {}  # per ring group, for tracing the total back to a ring
 
     for n, s, r, _dv in z_corpus:
         rep = divisors_rational(n, s, r)
         if rep.divisors != oracle_rational(n, s, r).divisors:
             mismatches.append(("z", n, s, r))
     counts["z"] = len(z_corpus)
+    seconds["z"] = time.perf_counter() - t0 - sum(seconds.values())
 
     for inst, _pair in zi_corpus:
         rep = find_divisors(inst)
@@ -115,6 +117,7 @@ def test_criterion_4_oracle_equivalence(zi_corpus, general_corpora, poly_corpus,
         if rep.divisors != orc.divisors:
             mismatches.append(("zi", str(inst.N), str(inst.S), str(inst.r)))
     counts["zi"] = len(zi_corpus)
+    seconds["zi"] = time.perf_counter() - t0 - sum(seconds.values())
 
     for d, corpus in general_corpora.items():
         ring = quad_ring(d)
@@ -124,6 +127,7 @@ def test_criterion_4_oracle_equivalence(zi_corpus, general_corpora, poly_corpus,
             if rep.divisors != orc.divisors:
                 mismatches.append((ring.name, str(inst.N), str(inst.S), str(inst.r)))
         counts[ring.name] = len(corpus)
+        seconds[ring.name] = time.perf_counter() - t0 - sum(seconds.values())
 
     for inst, _pair in poly_corpus:
         rep = find_divisors(inst)
@@ -133,9 +137,10 @@ def test_criterion_4_oracle_equivalence(zi_corpus, general_corpora, poly_corpus,
         if tuple(tuple(dv.coeffs) for dv in rep.divisors) != orc.divisors:
             mismatches.append(("zx", str(inst.N), str(inst.S), str(inst.r)))
     counts["zx"] = len(poly_corpus)
+    seconds["zx"] = time.perf_counter() - t0 - sum(seconds.values())
 
     elapsed = time.perf_counter() - t0
-    sizes = ", ".join(f"{k}:{v}" for k, v in counts.items())
+    sizes = ", ".join(f"{k}:{v} in {seconds[k]:.1f} s" for k, v in counts.items())
     ok = not mismatches and all(v >= 200 for v in counts.values()) \
         and elapsed < 300.0
     _report(4, "oracle equivalence", ok,

@@ -53,9 +53,12 @@ def test_rational_matches_oracle_randomized():
 
 def test_stats_shape():
     rep = divisors_rational(273, 10, 1)
-    assert set(rep.stats) == {"t", "candidates", "solves", "seconds"}
+    assert set(rep.stats) == {"t", "quad_rows", "linear_rows", "candidates", "roots",
+                              "solves", "seconds"}
     assert rep.stats["t"] >= 2
+    assert rep.stats["quad_rows"] + rep.stats["linear_rows"] == rep.stats["t"]
     assert rep.stats["candidates"] > 0
+    assert 0 < rep.stats["roots"] <= rep.stats["candidates"]
     assert rep.stats["solves"] >= len(rep.divisors)
     assert rep.stats["seconds"] >= 0.0
 

@@ -46,7 +46,8 @@ def test_find_json_shape(capsys):
     doc = json.loads(out)
     assert set(doc) == {"instance", "divisors", "stats", "alpha"}
     assert doc["instance"] == {"ring": "z", "N": "320320", "S": "69", "r": "1"}
-    assert set(doc["stats"]) == {"t", "candidates", "solves", "seconds"}
+    assert set(doc["stats"]) == {"t", "quad_rows", "linear_rows", "candidates", "roots",
+                                 "solves", "seconds"}
     positives = [int(d) for d in doc["divisors"] if int(d) > 0]
     assert positives == [1, 70, 208, 2002, 3520, 14560]
 
@@ -79,7 +80,8 @@ def test_find_lines_roundtrip(capsys):
         assert (d - 1) % 105787 == 0
     assert len([d for d in divisors if d > 0]) == 6
     assert abs(float(trailer["alpha"]) - 0.3584) < 1e-4
-    assert set(trailer) == {"t", "candidates", "solves", "seconds", "alpha"}
+    assert set(trailer) == {"t", "quad_rows", "linear_rows", "candidates", "roots",
+                            "solves", "seconds", "alpha"}
 
 
 def test_find_poly(capsys):

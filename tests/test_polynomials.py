@@ -38,6 +38,26 @@ def test_arithmetic_known_products():
     assert x.shifted(3) == Poly.monomial(1, 4)
 
 
+_rationals = st.fractions(min_value=-40, max_value=40, max_denominator=15)
+
+
+@settings(max_examples=200)
+@given(st.lists(_rationals, max_size=7), st.lists(_rationals, max_size=7),
+       st.sampled_from((0, 1, -1, 2, 3, Fraction(-1, 2))))
+def test_rational_product_and_evaluation(ac, bc, x0):
+    a, b = Poly(ac), Poly(bc)
+    # the coefficient-by-coefficient Fraction convolution is the reference
+    ref = [Fraction(0)] * max(len(ac) + len(bc) - 1, 0)
+    for i, ca in enumerate(ac):
+        for j, cb in enumerate(bc):
+            ref[i + j] += ca * cb
+    prod = a * b
+    assert prod == Poly(ref)
+    assert all(type(c) is int or c.denominator > 1 for c in prod.coeffs)
+    assert prod(x0) == a(x0) * b(x0)
+    assert (a + b)(x0) == a(x0) + b(x0)
+
+
 def test_poly_div_examples():
     # (x^3+1) / x^2 -> q = x, r = 1
     q, r = poly_div(Poly([1, 0, 0, 1]), Poly([0, 0, 1]))

@@ -2,13 +2,27 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import GENERAL_DS, plant_poly, plant_quad, rand_quad_disk
+from conftest import (
+    GENERAL_DS,
+    plant_poly,
+    plant_quad,
+    plant_rational,
+    rand_quad_disk,
+    sympy_poly_factors,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resdiv.polynomials import Poly
+from resdiv.oracle import oracle_poly
 from resdiv.remseq import build_chain, build_instance
-from resdiv.rings import RING_Z, RING_ZI, RING_ZX, QuadInt, quad_ring, reduce_mod
+from resdiv.rings import RING_Z, RING_ZX, QuadInt, exact_div, quad_ring, reduce_mod
 from resdiv.solver import (
+    _EVAL_POINTS,
+    RowSystem,
     SolutionPair,
+    _eval_points,
+    _squares_at_points,
     candidate_radius,
     enumerate_residues,
     poly_rhs_candidates,
@@ -89,10 +103,14 @@ def test_enumerate_residues_rejects_other_rings():
 
 # --- polynomial candidate shifts ----------------------------------------------
 
+def _poly_gammas(shifts, c, inst):
+    return [c + lam * inst.S for lam in shifts]
+
+
 def test_poly_rhs_requires_poly_instance():
     inst = build_instance(RING_Z, 273, 10, 1)
     with pytest.raises(ValueError):
-        poly_rhs_candidates(Poly.zero(), Poly.constant(1), Poly.constant(1), inst)
+        poly_rhs_candidates(Poly.constant(1), Poly.constant(1), inst)
 
 
 def test_poly_rhs_contains_reduced_c_and_stays_in_class():
@@ -101,9 +119,12 @@ def test_poly_rhs_contains_reduced_c_and_stays_in_class():
     chain = build_chain(inst)
     for k in range(1, chain.t):
         c, a, b = chain.c[k], chain.a[k], chain.b[k]
-        cands = poly_rhs_candidates(c, a, b, inst)
-        assert c in cands
+        shifts = poly_rhs_candidates(a, b, inst)
+        cands = _poly_gammas(shifts, c, inst)
+        assert shifts[0] == 0 and cands[0] == c
         assert len(set(map(str, cands))) == len(cands)
+        # in the order the search has always visited the gammas in
+        assert cands == sorted(cands, key=lambda g: (g.degree if g else -1, g.coeffs))
         for g in cands:
             # any shift above c is a rational-constant multiple of S
             diff = g - c
@@ -113,14 +134,33 @@ def test_poly_rhs_contains_reduced_c_and_stays_in_class():
                 assert ratio * inst.S == diff
 
 
+def test_poly_rhs_order_matches_gamma_order():
+    # S = 2x^3 - 3x: no constant term and a negative lowest coefficient, so
+    # the shifts come in descending order; then random plants
+    s_el = Poly([0, -3, 0, 2])
+    n_el = (s_el * Poly([2, 1]) + 1) * (s_el * Poly([1, -1]) + Poly([1, 1]))
+    insts = [build_instance(RING_ZX, n_el, s_el, Poly.constant(1))]
+    rng = random.Random(37)
+    insts += [plant_poly(rng)[0] for _ in range(30)]
+    for inst in insts:
+        chain = build_chain(inst)
+        for k in range(1, chain.t + 1):
+            shifts = poly_rhs_candidates(chain.a[k], chain.b[k], inst)
+            cands = _poly_gammas(shifts, chain.c[k], inst)
+            assert cands == sorted(cands, key=lambda g: (g.degree if g else -1, g.coeffs))
+            assert len(set(cands)) == len(cands)
+    chain = build_chain(insts[0])
+    assert poly_rhs_candidates(chain.a[1], chain.b[1], insts[0]) == [
+        0, Fraction(1, 2), Fraction(-1, 2)]
+
+
 def test_poly_rhs_empty_lead_list_collapses():
     inst = build_instance(RING_ZX, Poly([1, 1, 0, 0, 2]), Poly([1, 0, 2]),
                           Poly.constant(1))
     assert inst.lead_list == ()
     chain = build_chain(inst)
     k = 1
-    cands = poly_rhs_candidates(chain.c[k], chain.a[k], chain.b[k], inst)
-    assert cands == [chain.c[k]]
+    assert poly_rhs_candidates(chain.a[k], chain.b[k], inst) == [0]
 
 
 def test_poly_rhs_covers_planted_row():
@@ -136,8 +176,8 @@ def test_poly_rhs_covers_planted_row():
         found = False
         for k in range(chain.t + 1):
             gamma = chain.a[k] * f + chain.b[k] * g
-            cands = poly_rhs_candidates(chain.c[k], chain.a[k], chain.b[k], inst)
-            if gamma in cands:
+            shifts = poly_rhs_candidates(chain.a[k], chain.b[k], inst)
+            if gamma in _poly_gammas(shifts, chain.c[k], inst):
                 found = True
                 break
         assert found
@@ -208,6 +248,132 @@ def test_solve_system_results_always_verify():
             chain.c[k], inst.S, 4, inst.ring))
         for x, y in solve_system(chain.a[k], chain.b[k], gamma, inst):
             assert (inst.S * x + inst.r) * (inst.S * y + inst.rPrime) == inst.N
+
+
+# --- the row discriminant D(lam) = E*lam^2 + F*lam + G ----------------------------
+
+def _per_gamma_disc(a, b, gamma, inst):
+    # A1^2 - 4*A2*A0 built directly from gamma, the way the solver once did
+    # for every candidate
+    S, r, rp, N = inst.S, inst.r, inst.rPrime, inst.N
+    a2 = -(S * S * a)
+    a1 = S * S * gamma + S * rp * b - S * r * a
+    a0 = S * r * gamma + b * (r * rp - N)
+    return a1 * a1 - 4 * a2 * a0
+
+
+def _planted_rows(rng):
+    """(instance, planted pair, random-shift maker) in Z, the five quadratic
+    rings and Z[x]."""
+    for _ in range(6):
+        n, s, r, dv = plant_rational(rng)
+        inst = build_instance(RING_Z, n, s, r)
+        x = exact_div(dv - inst.r, s, RING_Z)
+        y = exact_div(n // dv - inst.rPrime, s, RING_Z)
+        yield inst, (x, y), lambda: rng.randint(-40, 40)
+    for d in (-1,) + GENERAL_DS:
+        for _ in range(4):
+            inst, pair = plant_quad(rng, d, 30, 1000)
+            yield inst, pair, lambda d=d: rand_quad_disk(rng, d, 900)
+    for _ in range(5):
+        inst, pair = plant_poly(rng)
+        yield inst, pair, lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+
+def test_row_discriminant_matches_per_gamma():
+    rng = random.Random(38)
+    planted = {}
+    for inst, (x, y), rand_shift in _planted_rows(rng):
+        ring, S = inst.ring, inst.S
+        chain = build_chain(inst)
+        for k in range(1, chain.t + 1):
+            a, b, c = chain.a[k], chain.b[k], chain.c[k]
+            if not a or not b:
+                continue
+            row = RowSystem(a, b, c, inst)
+            E, F, G = row.coeffs()
+            shifts = [0, rand_shift(), rand_shift()]
+            if ring.is_poly:
+                shifts += poly_rhs_candidates(a, b, inst)[1:3]
+            else:
+                shifts += [rand_shift(), rand_shift()]
+            lam_p = exact_div(a * x + b * y - c, S, ring)
+            if not ring.is_poly or lam_p.degree <= 0:
+                lam_p = lam_p.coeff(0) if ring.is_poly else lam_p
+                shifts.append(lam_p)
+                assert SolutionPair(x, y) in row.solve(c + lam_p * S, lam_p)
+                planted[ring.name] = planted.get(ring.name, 0) + 1
+            for lam in shifts:
+                gamma = c + lam * S
+                want = _per_gamma_disc(a, b, gamma, inst)
+                assert E * lam * lam + F * lam + G == want
+                assert row.disc(gamma, lam) == want
+                assert row.disc(gamma) == want
+                assert row.solve(gamma, lam) == solve_system(a, b, gamma, inst)
+    rings = {"z", "zi", "zx"} | {quad_ring(d).name for d in GENERAL_DS}
+    assert set(planted) == rings
+    assert min(planted.values()) >= 4, planted
+
+
+# --- the Z[x] evaluation prefilter ------------------------------------------------
+
+_fractions = st.fractions(min_value=-60, max_value=60, max_denominator=12)
+
+
+@settings(max_examples=300)
+@given(h=st.lists(_fractions, max_size=6), e=st.lists(_fractions, max_size=5),
+       f=st.lists(_fractions, max_size=5), lam=_fractions,
+       zero_at=st.sampled_from((None,) + _EVAL_POINTS))
+def test_prefilter_passes_every_square(h, e, f, lam, zero_at):
+    # D(lam) = h^2 in Q[x], written as E*lam^2 + F*lam + G for arbitrary E, F;
+    # zero_at makes h, and so D, vanish at one of the evaluation points
+    hp = Poly(h)
+    if zero_at is not None:
+        hp = hp * Poly([-zero_at, 1])
+    E, F = Poly(e), Poly(f)
+    G = hp * hp - E * lam * lam - F * lam
+    assert _squares_at_points(_eval_points(E, F, G), lam)
+
+
+def test_prefilter_keeps_every_solution_shift(poly_corpus):
+    # on every quadratic row of the criterion-4 Z[x] corpus, the shifts at
+    # which the reference solver returns a pair (the oracle's divisors give
+    # them all) pass the prefilter; a sample of the rejected shifts is
+    # confirmed empty by the reference solver, which has no prefilter
+    shifts_seen = rejected = kept = 0
+    for inst, _ in poly_corpus:
+        content, factors = sympy_poly_factors(inst.N)
+        orc = oracle_poly(tuple(inst.N.coeffs), tuple(inst.S.coeffs),
+                          tuple(inst.r.coeffs), content, factors)
+        pairs = []
+        for coeffs in orc.divisors:
+            dv = Poly(coeffs)
+            cof = exact_div(inst.N, dv, RING_ZX)
+            pairs.append(SolutionPair(exact_div(dv - inst.r, inst.S, RING_ZX),
+                                      exact_div(cof - inst.rPrime, inst.S, RING_ZX)))
+        chain = build_chain(inst)
+        for k in range(1, chain.t + 1):
+            a, b, c = chain.a[k], chain.b[k], chain.c[k]
+            if not a or not b:
+                continue
+            row = RowSystem(a, b, c, inst)
+            shifts = poly_rhs_candidates(a, b, inst)
+            passed = [lam for lam in shifts if row.square_at_points(lam)]
+            for lam in shifts:
+                shifts_seen += 1
+                if lam not in passed:
+                    rejected += 1
+                    if rejected % 100 == 1:
+                        assert solve_system(a, b, c + lam * inst.S, inst) == []
+            for pair in pairs:
+                gamma = a * pair.x + b * pair.y
+                lam = exact_div(gamma - c, inst.S, RING_ZX)
+                if lam.degree <= 0 and lam.coeff(0) in shifts:
+                    assert pair in solve_system(a, b, gamma, inst)
+                    assert lam.coeff(0) in passed
+                    kept += 1
+    assert kept >= 200
+    assert 0 < rejected < shifts_seen
 
 
 # --- the two sweep-invisible solutions ------------------------------------------
