@@ -10,7 +10,7 @@ import math
 
 from resdiv.algorithms import divisors_rational
 from resdiv.remseq import build_chain, build_instance, chain_dump
-from resdiv.rings import RING_ZI
+from resdiv.rings import RING_Z
 
 # a small warm-up: divisors of 273 that are 1 mod 10
 report = divisors_rational(273, 10, 1)
@@ -22,9 +22,9 @@ for d in report.divisors:
     x, y, row = report.witnesses[d]
     print(f"  d={d}: x={x}, y={y}, from row {row}")
 
-# the integer routine runs inside the Gaussian integers and keeps the
-# rational results, so the instance object lives in that ring
-inst = build_instance(RING_ZI, 273, 10, 1)
+# the instance object behind that search: r reduced mod S, and r' with
+# N = r*r' (mod S)
+inst = build_instance(RING_Z, 273, 10, 1)
 print("reduced residue r =", inst.r, " cofactor residue r' =", inst.rPrime)
 
 # the remainder chain that drives the search (a_k | b_k | c_k per row)

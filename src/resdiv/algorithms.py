@@ -5,11 +5,8 @@ solution of (S*x + r)(S*y + r') = N, provided the size gate holds
 (normsq(S)^3 > normsq(N), resp. 3*deg S >= deg N).  The two solutions the
 row sweep cannot reach (x = 0 and y = 0) are checked directly first; then
 each chain row contributes candidate gammas that the exact solver turns
-into verified pairs.
-
-Rational instances are run inside the Gaussian integers: the congruence,
-divisibility, and gate conditions all transfer verbatim, and the rational
-divisors are exactly the Gaussian hits with zero imaginary part.
+into verified pairs.  Z, the five quadratic rings and Z[x] all take this
+one path; they differ only in where a row's candidates come from.
 """
 
 from __future__ import annotations
@@ -19,11 +16,12 @@ from dataclasses import dataclass
 
 from . import fastscan
 from .remseq import ProblemInstance, build_chain, build_instance
-from .rings import RING_ZI, RING_ZX, Element, RingId, exact_div
+from .rings import RING_Z, RING_ZX, Element, RingId, exact_div
 from .solver import (
     RowSystem,
     candidate_radius,
     enumerate_residues,
+    integer_shifts,
     poly_rhs_candidates,
     solve_system,
     trivial_divisor_check,
@@ -40,10 +38,11 @@ class DivisorReport:
     was first discovered (chain row i, j-th accepted pair of that row; the
     two trivial checks count as row 0).  stats carries t, the chain rows
     by kind (quad_rows with a and b nonzero, linear_rows with one of them
-    zero), candidates (gammas handed to the exact solver), roots
-    (candidates whose discriminant passed every square test and reached
-    root extraction), solves (accepted pairs before deduplication), and
-    seconds.
+    zero), candidates (gammas handed to the exact solver: every shift of
+    the row in Z and Z[x], the filter's survivors in the quadratic
+    rings), roots (candidates whose discriminant passed every square test
+    and reached root extraction), solves (accepted pairs before
+    deduplication), and seconds.
     """
 
     divisors: tuple[Element, ...]
@@ -78,14 +77,37 @@ def find_divisors(
 ) -> DivisorReport:
     """Run the full search on a built instance.
 
-    engine selects the quadratic-ring candidate enumeration: "fast" (the
-    vectorized filter, default under "auto") or "exact" (the reference
-    disk walk; only sensible at a reduced rbound outside the Gaussian
-    ring).  Both feed the same exact solver and report identically.
+    A chain row (a, b, c) hands the exact solver gammas c + lam*S.  In Z
+    lam is every integer with |lam| <= radius + 2 (integer_shifts); in
+    Z[x] it runs over poly_rhs_candidates.  In the quadratic rings engine
+    selects the enumeration: "fast" (the vectorized filter over the lam
+    pool, default under "auto") or "exact" (the reference disk walk; only
+    sensible at a reduced rbound outside the Gaussian ring).  Both feed
+    the same exact solver and report identically.  rbound overrides
+    candidate_radius in Z and in the quadratic rings.
+
+    Z finds exactly the real divisors that the Gaussian search of the same
+    numbers finds, each in the same chain row:
+      1. The Z chain and the Z[i] chain are the same chain:
+         _int_div_nearest rounds as quad_div does on real inputs (nearest,
+         ties toward minus infinity), so r, r', every quotient and every
+         row (a, b, c) agree.
+      2. On a real row a real pair (x, y) forces gamma = a*x + b*y to be
+         real, so its shift lam = (gamma - c)/S is real, and the real
+         points of the Gaussian pool are integer_shifts(radius), in the
+         same order.
+      3. The Gaussian sieve (fastscan) is superset-safe: it keeps every
+         gamma that carries a solution.  So the real hits of the Z[i]
+         route are exactly the hits of the real shifts, which Z hands to
+         the same solver unfiltered.
+    The j of a witness (i, j) agrees as well unless the Gaussian row
+    accepts a non-real pair ahead of it; stats differ in candidates,
+    roots and, by those non-real pairs, solves.
     """
     if engine not in ("auto", "fast", "exact"):
         raise ValueError(f"unknown engine {engine!r}")
     t0 = time.perf_counter()
+    ring = inst.ring
     chain = build_chain(inst)
     found: dict[Element, Witness] = {}
     ncand = nacc = nroots = nquad = nlin = 0
@@ -95,12 +117,12 @@ def find_divisors(
         found.setdefault(dv, (pair.x, pair.y, (0, j)))
         nacc += 1
 
-    pool = None
-    if inst.ring.is_quad and engine != "exact":
-        pool = fastscan.get_pool(inst.ring.d, rbound)
-    radius = rbound if rbound is not None else (
-        candidate_radius(inst.ring.d) if inst.ring.is_quad else None
-    )
+    radius = rbound if rbound is not None else candidate_radius(ring.d)
+    pool = shifts = None
+    if ring.is_quad and engine != "exact":
+        pool = fastscan.get_pool(ring.d, radius)
+    elif ring.is_int:
+        shifts = integer_shifts(radius)
 
     for i in range(1, chain.t + 1):
         a, b, c = chain.a[i], chain.b[i], chain.c[i]
@@ -108,15 +130,16 @@ def find_divisors(
             nquad += 1
         elif a or b:
             nlin += 1
-        if inst.ring.is_poly:
-            shifts = poly_rhs_candidates(a, b, inst)
-            cands = [(c + lam * inst.S if lam else c, lam) for lam in shifts]
-        else:
+        if ring.is_quad:
             if pool is not None:
                 gammas = fastscan.fast_row_candidates(a, b, c, inst, pool)
             else:
-                gammas = enumerate_residues(c, inst.S, radius, inst.ring)
+                gammas = enumerate_residues(c, inst.S, radius, ring)
             cands = [(gamma, None) for gamma in gammas]
+        else:
+            if ring.is_poly:
+                shifts = poly_rhs_candidates(a, b, inst)
+            cands = [(c + lam * inst.S if lam else c, lam) for lam in shifts]
         ncand += len(cands)
         row = RowSystem(a, b, c, inst) if a and b and cands else None
         j = 0
@@ -130,7 +153,7 @@ def find_divisors(
             nroots += row.roots
 
     _verify_report(inst, found)
-    divisors = tuple(sorted(found, key=_sort_key(inst.ring)))
+    divisors = tuple(sorted(found, key=_sort_key(ring)))
     stats = {
         "t": chain.t,
         "quad_rows": nquad,
@@ -143,40 +166,15 @@ def find_divisors(
     return DivisorReport(divisors, found, stats)
 
 
-def divisors_quadratic(
-    ring: RingId,
-    N,
-    S,
-    r,
-    *,
-    rbound: int | None = None,
-    engine: str = "auto",
-) -> DivisorReport:
+def divisors_quadratic(ring: RingId, N, S, r) -> DivisorReport:
     if not ring.is_quad:
         raise ValueError("divisors_quadratic needs a quadratic ring")
-    return find_divisors(build_instance(ring, N, S, r), rbound=rbound, engine=engine)
+    return find_divisors(build_instance(ring, N, S, r))
 
 
-def divisors_rational(N: int, S: int, r: int, *, engine: str = "auto") -> DivisorReport:
-    """All integer divisors d of N with d = r (mod S), both signs.
-
-    Runs the Gaussian search on the same numbers.  d - r = S*x with d, r, S
-    rational forces x rational, so filtering the Gaussian report to real
-    divisors loses nothing and the witnesses project to integers.
-    """
-    inst = build_instance(RING_ZI, int(N), int(S), int(r))
-    rep = find_divisors(inst, engine=engine)
-    divisors = []
-    witnesses: dict[Element, Witness] = {}
-    for dv in rep.divisors:
-        if not dv.is_rational():
-            continue
-        x, y, at = rep.witnesses[dv]
-        k = dv.rational_part()
-        divisors.append(k)
-        witnesses[k] = (x.rational_part(), y.rational_part(), at)
-    divisors.sort()
-    return DivisorReport(tuple(divisors), witnesses, rep.stats)
+def divisors_rational(N: int, S: int, r: int) -> DivisorReport:
+    """All integer divisors d of N with d = r (mod S), both signs."""
+    return find_divisors(build_instance(RING_Z, int(N), int(S), int(r)))
 
 
 def divisors_poly(

@@ -53,10 +53,14 @@ def scale_bounds(k: int) -> tuple[int, int]:
     return lo, hi
 
 
-def sample_instance(rng: Random, k: int, ring: RingId = RING_ZI) -> ProblemInstance:
-    """One protocol sample at digit scale k (quadratic rings only)."""
+def _check_ring(ring: RingId) -> None:
     if not ring.is_quad:
         raise ValueError("the benchmark protocol samples quadratic rings")
+
+
+def sample_instance(rng: Random, k: int, ring: RingId = RING_ZI) -> ProblemInstance:
+    """One protocol sample at digit scale k (quadratic rings only)."""
+    _check_ring(ring)
     d = ring.d
     lo_n, hi_n = 10**k, 10 ** (k + 1)
     lo_s, hi_s = scale_bounds(k)
@@ -96,6 +100,7 @@ def run_bench(
     seed: int,
     ring: RingId = RING_ZI,
 ) -> list[BenchRow]:
+    _check_ring(ring)
     rng = Random(seed)
     fastscan.get_pool(ring.d)
     rows = []

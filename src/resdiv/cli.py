@@ -18,7 +18,7 @@ import json
 import math
 import sys
 
-from .algorithms import DivisorReport, divisors_rational, find_divisors
+from .algorithms import DivisorReport, find_divisors
 from .base import ElementSyntaxError, InvalidInstanceError
 from .bench import format_csv, format_dat, run_bench
 from .families import (
@@ -29,7 +29,7 @@ from .families import (
     verify_family,
 )
 from .remseq import build_instance
-from .rings import RING_Z, RING_ZI, ring_from_name
+from .rings import ring_from_name
 from .syntax import format_element, parse_element
 
 _RING_NAMES = ("z", "zi", "q-2", "q-3", "q-7", "q-11", "zx")
@@ -86,16 +86,9 @@ def _cmd_find(args) -> int:
             raise ElementSyntaxError("--lead-list only applies to ring zx")
         lead_list = [int(v) for v in args.lead_list.split(",") if v.strip()]
 
-    alpha = None
-    if ring is RING_Z:
-        inst = build_instance(RING_ZI, n_el, s_el, r_el)
-        rep = divisors_rational(n_el, s_el, r_el)
-        shown_r = inst.r.rational_part()
-        alpha = _alpha(n_el, s_el)
-    else:
-        inst = build_instance(ring, n_el, s_el, r_el, lead_list=lead_list)
-        rep = find_divisors(inst)
-        shown_r = inst.r
+    inst = build_instance(ring, n_el, s_el, r_el, lead_list=lead_list)
+    rep = find_divisors(inst)
+    alpha = _alpha(n_el, s_el) if ring.is_int else None
 
     if args.format == "json":
         doc = {
@@ -103,7 +96,7 @@ def _cmd_find(args) -> int:
                 "ring": args.ring,
                 "N": format_element(n_el),
                 "S": format_element(s_el),
-                "r": format_element(shown_r),
+                "r": format_element(inst.r),
             },
             "divisors": [format_element(d) for d in rep.divisors],
             "stats": rep.stats,

@@ -35,7 +35,7 @@ from .rings import QuadInt
 
 GRID_LIMIT = 10**8
 RATIONAL_LIMIT = 10**15
-_CHUNK = 10**7
+_CHUNK = 2**18
 
 
 class OracleResult(NamedTuple):

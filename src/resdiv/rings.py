@@ -153,15 +153,6 @@ class QuadInt:
     def is_zero(self) -> bool:
         return self.u == 0 and self.v == 0
 
-    def is_rational(self) -> bool:
-        """True when the element lies in Z (no sqrt(d) part)."""
-        return self.v == 0
-
-    def rational_part(self) -> int:
-        if self.v != 0:
-            raise ValueError(f"{self} is not a rational integer")
-        return self.u // 2
-
     def __bool__(self) -> bool:
         return not self.is_zero()
 
@@ -329,14 +320,14 @@ def quad_div(a: QuadInt, b: QuadInt) -> DivResult:
 
 
 def _int_div_nearest(a: int, b: int) -> DivResult:
-    """a = q*b + r over Z with |r| <= |b|/2, ties rounding q*sign(b) down."""
+    """a = q*b + r over Z with q the integer nearest to a/b, ties toward
+    minus infinity: quad_div's rule on real inputs, so |r| <= |b|/2 and
+    every Z chain is the Gaussian chain of the same numbers."""
     if b == 0:
         raise ZeroDivisionError("integer division by zero")
     RING_OPS.tick()
-    n = abs(b)
-    q = _round_half_down(a, n)
-    r = a - q * n
-    return DivResult(-q if b < 0 else q, r)
+    q = _round_half_down(a if b > 0 else -a, abs(b))
+    return DivResult(q, a - q * b)
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +413,6 @@ def coerce_element(val, ring: RingId):
     if ring.is_int:
         if isinstance(val, int):
             return val
-        if isinstance(val, QuadInt) and val.is_rational():
-            return val.rational_part()
         raise ValueError(f"{val!r} is not a rational integer")
     if ring.is_quad:
         if isinstance(val, QuadInt):

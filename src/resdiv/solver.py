@@ -1,9 +1,10 @@
 """Per-row candidate gamma values and the exact two-equation solver.
 
 Each chain row (a_i, b_i, c_i) contributes candidates gamma = c_i + lam*S.
-In the quadratic rings lam ranges over a disk (enumerate_residues); in Z[x]
-the possible leading coefficients of a_i*f + b_i*g pin down a finite set of
-rational constant shifts lam (poly_rhs_candidates).  For every candidate,
+In Z lam ranges over an interval (integer_shifts), in the quadratic rings
+over a disk (enumerate_residues); in Z[x] the possible leading
+coefficients of a_i*f + b_i*g pin down a finite set of rational constant
+shifts lam (poly_rhs_candidates).  For every candidate,
 solve_system intersects the line a_i*x + b_i*y = gamma with the product
 equation (S*x + r)(S*y + r') = N and keeps only exactly verified ring
 solutions.
@@ -52,12 +53,21 @@ class SolutionPair(NamedTuple):
 
 
 def candidate_radius(d: int) -> int:
-    """Sweep radius for the quadratic ring of discriminant-root d.
+    """Sweep radius for Z (d = 0, as in RING_Z.d) or the quadratic ring of
+    discriminant-root d.
 
-    Candidates gamma satisfy normsq(gamma) < radius^2 * normsq(S); the
-    Gaussian case needs far less slack than the other four rings.
+    The sweep covers every gamma with normsq(gamma) < radius^2 *
+    normsq(S); Z and the Gaussian integers need far less slack than the
+    other four rings.
     """
-    return 12 if d == -1 else 530
+    return 12 if d in (0, -1) else 530
+
+
+def integer_shifts(rbound: int) -> list[int]:
+    """The Z sweep: every integer lam with |lam| <= rbound + 2, in
+    (lam^2, lam) order, i.e. the real points of the Gaussian pool of the
+    same radius (fastscan._Pool) in the pool's order."""
+    return sorted(range(-rbound - 2, rbound + 3), key=lambda lam: (lam * lam, lam))
 
 
 def enumerate_residues(c: QuadInt, S: QuadInt, rbound: int, ring) -> list[QuadInt]:

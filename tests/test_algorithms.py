@@ -3,6 +3,7 @@ import random
 import pytest
 from conftest import plant_poly, plant_quad, plant_rational
 
+from resdiv import fastscan
 from resdiv.algorithms import (
     DivisorReport,
     divisors_poly,
@@ -10,6 +11,7 @@ from resdiv.algorithms import (
     divisors_rational,
     find_divisors,
 )
+from resdiv.families import cohen_instance, seven_signed_instance, standalone_instance
 from resdiv.oracle import oracle_rational
 from resdiv.polynomials import Poly
 from resdiv.remseq import build_instance
@@ -41,14 +43,58 @@ def test_rational_both_signs():
 
 
 def test_rational_matches_oracle_randomized():
+    # RING_Z instances run natively through find_divisors, small and
+    # negative moduli included
     rng = random.Random(51)
-    for _ in range(30):
-        n, s, r, dv = plant_rational(rng)
+    cases = [plant_rational(rng) for _ in range(30)]
+    cases += [plant_rational(rng, 2, 40) for _ in range(40)]
+    cases += [(1095, 14, 1, 15), (1105, 12, 1, 13), (320320, -69, 1, 70), (-273, 10, 3, 13)]
+    for n, s, r, planted in cases:
+        inst = build_instance(RING_Z, n, s, r)
+        rep = find_divisors(inst)
+        assert rep.divisors == oracle_rational(n, s, inst.r).divisors
+        assert planted in rep.divisors
+        for dv in rep.divisors:
+            x, y, _at = rep.witnesses[dv]
+            assert s * x + inst.r == dv and dv * (s * y + inst.rPrime) == n
+
+
+def test_integer_search_builds_no_gaussian_machinery(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("integer search left Z")
+
+    monkeypatch.setattr(QuadInt, "__init__", boom)
+    monkeypatch.setattr(fastscan, "get_pool", boom)
+    monkeypatch.setattr(fastscan, "fast_row_candidates", boom)
+    rep = divisors_rational(104254876089000, 105787, 1)
+    assert len([d for d in rep.divisors if d > 0]) == 6
+
+
+def _gaussian_route(n, s, r):
+    """The integer search as it once ran: inside Z[i], real divisors kept,
+    witnesses projected back to Z."""
+    rep = find_divisors(build_instance(RING_ZI, n, s, r))
+    divisors = tuple(sorted(dv.u // 2 for dv in rep.divisors if dv.v == 0))
+    witnesses = {}
+    for dv in rep.divisors:
+        if dv.v == 0:
+            x, y, at = rep.witnesses[dv]
+            assert x.v == 0 and y.v == 0
+            witnesses[dv.u // 2] = (x.u // 2, y.u // 2, at)
+    return divisors, witnesses, rep.stats
+
+
+def test_integer_search_matches_gaussian_route(z_corpus):
+    fams = [standalone_instance()] + [cohen_instance(lv) for lv in range(3, 21)]
+    fams += [seven_signed_instance(b) for b in range(2, 21)]
+    cases = [(fi.N, fi.S, fi.r) for fi in fams] + [c[:3] for c in z_corpus]
+    for n, s, r in cases:
         rep = divisors_rational(n, s, r)
-        inst = build_instance(RING_ZI, n, s, r)
-        shown_r = inst.r.rational_part()
-        assert rep.divisors == oracle_rational(n, s, shown_r).divisors
-        assert dv in rep.divisors
+        divisors, witnesses, stats = _gaussian_route(n, s, r)
+        assert rep.divisors == divisors
+        assert rep.witnesses == witnesses
+        for key in ("t", "quad_rows", "linear_rows"):
+            assert rep.stats[key] == stats[key]
 
 
 def test_stats_shape():

@@ -53,6 +53,13 @@ def test_sample_instance_ring_guard():
         sample_instance(random.Random(0), 5, RING_ZX)
 
 
+def test_run_bench_ring_guard():
+    # the ring is checked before any pool is built for it
+    for ring in (RING_Z, RING_ZX):
+        with pytest.raises(ValueError):
+            run_bench([5], 1, 0, ring)
+
+
 def test_run_bench_rows():
     rows = run_bench([5, 6], 3, seed=1)
     assert [row.k for row in rows] == [5, 6]

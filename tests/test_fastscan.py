@@ -17,12 +17,28 @@ from resdiv.fastscan import (
 )
 from resdiv.remseq import _is_prime64, build_chain, build_instance
 from resdiv.rings import QuadInt, quad_ring
-from resdiv.solver import SolutionPair, enumerate_residues, solve_system
+from resdiv.solver import (
+    SolutionPair,
+    candidate_radius,
+    enumerate_residues,
+    integer_shifts,
+    solve_system,
+)
 
 
 def test_split_primes_gaussian():
     # p = 1 mod 4 and p >= 13, in order
     assert _split_primes(-1) == (13, 17, 29, 37, 41, 53, 61, 73)
+
+
+def test_integer_shifts_are_the_real_pool_points():
+    # the Z sweep is the Gaussian pool restricted to the real axis, in order
+    assert candidate_radius(0) == candidate_radius(-1) == 12
+    for rbound in (3, 12):
+        pool = get_pool(-1, rbound)
+        real = [int(u) // 2 for u, v in zip(pool.lu, pool.lv) if v == 0]
+        assert integer_shifts(rbound) == real
+    assert len(integer_shifts(12)) == 29
 
 
 def test_split_primes_properties():

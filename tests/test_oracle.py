@@ -13,7 +13,7 @@ from resdiv.oracle import (
 )
 from resdiv.polynomials import Poly
 from resdiv.remseq import build_instance
-from resdiv.rings import RING_ZI, RING_ZX, QuadInt, exact_div, quad_ring, reduce_mod
+from resdiv.rings import RING_Z, RING_ZI, RING_ZX, QuadInt, exact_div, quad_ring, reduce_mod
 
 
 def test_oracle_rational_example():
@@ -40,6 +40,20 @@ def test_oracle_rational_vs_dumb_loop():
             if dv and n % dv == 0 and (dv - r) % s == 0
         ))
         assert oracle_rational(n, s, r).divisors == expected
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 4, 7])
+def test_oracle_rational_chunk_boundaries(monkeypatch, chunk):
+    # chunks start at 1, 1 + chunk, ...; 720 and 3600 have divisors on both
+    # sides of many chunk edges, and 3600 = 60^2 one at the scan limit itself
+    monkeypatch.setattr("resdiv.oracle._CHUNK", chunk)
+    for n in (1, 2, 97, 720, -720, 3600, 2 * 3 * 5 * 7 * 11):
+        for s, r in ((7, 1), (13, 5), (2, 1), (10**9, 1)):
+            expected = tuple(sorted(
+                dv for dv in range(-abs(n), abs(n) + 1)
+                if dv and n % dv == 0 and (dv - r) % s == 0
+            ))
+            assert oracle_rational(n, s, r).divisors == expected
 
 
 def test_gaussian_prime_above():
@@ -110,9 +124,8 @@ def test_xscan_matches_rational_oracle_when_embedded():
         n, s, r, _dv = plant_rational(rng, 8, 25)
         inst = build_instance(RING_ZI, n, s, r)
         scan = oracle_quadratic(RING_ZI, inst.N, inst.S, inst.r, inst.rPrime)
-        real = tuple(sorted(z.rational_part() for z in scan.divisors
-                            if z.is_rational()))
-        shown_r = inst.r.rational_part()
+        real = tuple(sorted(z.u // 2 for z in scan.divisors if z.v == 0))
+        shown_r = build_instance(RING_Z, n, s, r).r
         assert real == oracle_rational(n, s, shown_r).divisors
         done += 1
 
