@@ -21,6 +21,7 @@ from .solver import (
     RowSystem,
     candidate_radius,
     enumerate_residues,
+    int_linear_passes,
     integer_shifts,
     poly_rhs_candidates,
     solve_system,
@@ -38,11 +39,12 @@ class DivisorReport:
     was first discovered (chain row i, j-th accepted pair of that row; the
     two trivial checks count as row 0).  stats carries t, the chain rows
     by kind (quad_rows with a and b nonzero, linear_rows with one of them
-    zero), candidates (gammas handed to the exact solver: every shift of
-    the row in Z and Z[x], the filter's survivors in the quadratic
-    rings), roots (candidates whose discriminant passed every square test
-    and reached root extraction), solves (accepted pairs before
-    deduplication), and seconds.
+    zero), candidates (every shift of the row in Z and Z[x], the filter's
+    survivors in the quadratic rings), roots (quadratic-row candidates
+    whose discriminant reached root extraction: every one in Z, where the
+    isqrt of D(lam) is that extraction, those passing the evaluation test
+    in Z[x], all of them in the quadratic rings), solves (accepted pairs
+    before deduplication), and seconds.
     """
 
     divisors: tuple[Element, ...]
@@ -79,7 +81,12 @@ def find_divisors(
 
     A chain row (a, b, c) hands the exact solver gammas c + lam*S.  In Z
     lam is every integer with |lam| <= radius + 2 (integer_shifts); in
-    Z[x] it runs over poly_rhs_candidates.  In the quadratic rings engine
+    Z[x] it runs over poly_rhs_candidates.  There each shift is first
+    tested on scalars, and gamma is built only for the shifts that pass:
+    RowSystem.shift_root (Z) or square_at_points (Z[x]) on rows with a, b
+    != 0, int_linear_passes on Z's other rows.  Each test only drops
+    shifts at which the solver finds no pair, so the report is that of
+    handing every shift to the solver.  In the quadratic rings engine
     selects the enumeration: "fast" (the vectorized filter over the lam
     pool, default under "auto") or "exact" (the reference disk walk; only
     sensible at a reduced rbound outside the Gaussian ring).  Both feed
@@ -99,7 +106,7 @@ def find_divisors(
       3. The Gaussian sieve (fastscan) is superset-safe: it keeps every
          gamma that carries a solution.  So the real hits of the Z[i]
          route are exactly the hits of the real shifts, which Z hands to
-         the same solver unfiltered.
+         the same solver past its exact shift tests.
     The j of a witness (i, j) agrees as well unless the Gaussian row
     accepts a non-real pair ahead of it; stats differ in candidates,
     roots and, by those non-real pairs, solves.
@@ -130,27 +137,40 @@ def find_divisors(
             nquad += 1
         elif a or b:
             nlin += 1
+        row = RowSystem(a, b, c, inst) if a and b else None
         if ring.is_quad:
             if pool is not None:
                 gammas = fastscan.fast_row_candidates(a, b, c, inst, pool)
             else:
                 gammas = enumerate_residues(c, inst.S, radius, ring)
+            ncand += len(gammas)
             cands = [(gamma, None) for gamma in gammas]
         else:
             if ring.is_poly:
                 shifts = poly_rhs_candidates(a, b, inst)
-            cands = [(c + lam * inst.S if lam else c, lam) for lam in shifts]
-        ncand += len(cands)
-        row = RowSystem(a, b, c, inst) if a and b and cands else None
+            ncand += len(shifts)
+            cands = []
+            for lam in shifts:
+                root = None
+                if row is None:
+                    if ring.is_int and not int_linear_passes(a, b, c + lam * inst.S, inst):
+                        continue
+                elif ring.is_int:
+                    root = row.shift_root(lam)
+                    if root is None:
+                        continue
+                elif not row.square_at_points(lam):
+                    continue
+                cands.append((c + lam * inst.S if lam else c, root))
+        if row is not None:
+            nroots += len(shifts) if ring.is_int else len(cands)
         j = 0
-        for gamma, lam in cands:
-            for pair in solve_system(a, b, gamma, inst, row, lam):
+        for gamma, root in cands:
+            for pair in solve_system(a, b, gamma, inst, row, root):
                 dv = inst.S * pair.x + inst.r
                 found.setdefault(dv, (pair.x, pair.y, (i, j)))
                 j += 1
                 nacc += 1
-        if row is not None:
-            nroots += row.roots
 
     _verify_report(inst, found)
     divisors = tuple(sorted(found, key=_sort_key(ring)))

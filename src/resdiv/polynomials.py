@@ -167,11 +167,13 @@ class Poly:
         return out
 
     def __call__(self, x0: Coeff) -> Coeff:
-        """Value at a rational point, by Horner's rule."""
+        """Value at a rational point, by Horner's rule on the numerators
+        over one common denominator."""
+        nums, den = _over_common_denominator(self.coeffs)
         acc: Coeff = 0
-        for c in reversed(self.coeffs):
+        for c in reversed(nums):
             acc = acc * x0 + c
-        return acc
+        return _norm_coeff(Fraction(acc, den)) if den != 1 else acc
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Poly):

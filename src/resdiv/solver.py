@@ -23,19 +23,24 @@ the discriminant A1^2 - 4*A2*A0 is a quadratic in the shift,
     F = 2*A1*S^3 - 4*A2*S^2*r,   G = A1^2 - 4*A2*A0,
 
 with E, F and G fixed per row.  The algebra is the same in Z, in the
-quadratic rings and in Z[x]; RowSystem builds it once per row.  fastscan
-sieves D(lam) for squareness modulo small primes over its lam pool, and the
-Z[x] search tests each rational shift by evaluating D(lam) at a few
-integers (RowSystem.solve) before any polynomial square root.
+quadratic rings and in Z[x], and in any commutative ring the formulas are
+evaluated in.  fastscan sieves D(lam) for squareness modulo small primes
+over its lam pool.  Z and Z[x] test each shift on plain scalars before
+gamma is built (RowSystem): in Z, D(lam) is an integer whose isqrt is the
+root extraction itself; in Z[x], D(lam) must take rational square values
+at a few integers x0, with E(x0), F(x0) and G(x0) computed from the row's
+inputs evaluated at x0, so E, F and G are never expanded as polynomials.
+A shift that passes takes its discriminant from gamma, A1^2 - 4*A2*A0.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from functools import cached_property
+from math import isqrt, lcm
 from typing import NamedTuple
 
-from .polynomials import Coeff, Poly, _sqrt_rational
+from .polynomials import Coeff, Poly
 from .rings import (
     Element,
     QuadInt,
@@ -168,89 +173,128 @@ def _accept(x, y, inst: ProblemInstance) -> SolutionPair | None:
 _EVAL_POINTS = (1, -1, 2, 3)
 
 
-def _eval_points(E: Poly, F: Poly, G: Poly) -> list[tuple[Coeff, Coeff, Coeff]]:
-    """(E(x0), F(x0), G(x0)) at each x0 in _EVAL_POINTS."""
-    return [(E(x0), F(x0), G(x0)) for x0 in _EVAL_POINTS]
+def _row_terms(S, r, rp, N, a, b):
+    """(S^2, S*r, A2, 4*A2, beta, delta) of a row (a, b, .): at any
+    gamma, A1 = S^2*gamma + beta and A0 = S*r*gamma + delta."""
+    s2 = S * S
+    sr = S * r
+    a2 = -(s2 * a)
+    return s2, sr, a2, 4 * a2, S * rp * b - sr * a, b * (r * rp - N)
+
+
+def _disc_coeffs(S, c, terms):
+    """(E, F, G) with D(lam) = E*lam^2 + F*lam + G the discriminant at
+    gamma = c + lam*S, from _row_terms."""
+    s2, sr, _, a2x4, beta, delta = terms
+    a1 = s2 * c + beta
+    s3 = s2 * S
+    return s3 * s3, 2 * (a1 * s3) - a2x4 * (S * sr), a1 * a1 - a2x4 * (sr * c + delta)
+
+
+def _scaled_point(E, F, G) -> tuple[int, int, int, int]:
+    """(e, f, g, L), integers with (E, F, G) = (e, f, g)/L, L > 0."""
+    den = lcm(E.denominator, F.denominator, G.denominator)
+    return (E.numerator * (den // E.denominator), F.numerator * (den // F.denominator),
+            G.numerator * (den // G.denominator), den)
 
 
 def _squares_at_points(points, lam) -> bool:
-    """Whether E(x0)*lam^2 + F(x0)*lam + G(x0) is a rational square (0
-    included) at every point of _eval_points."""
-    return all(_sqrt_rational((e * lam + f) * lam + g) is not None
-               for e, f, g in points)
+    """Whether E*lam^2 + F*lam + G is a rational square (0 included) at
+    every point, given as _scaled_point(E, F, G).  With lam = n/m the value
+    is (e*n^2 + f*n*m + g*m^2)/(L*m^2), a rational square exactly when
+    L*(e*n^2 + f*n*m + g*m^2) is an integer square."""
+    n, m = lam.numerator, lam.denominator
+    for e, f, g, den in points:
+        v = ((e * n + f * m) * n + g * m * m) * den
+        if v < 0 or isqrt(v) ** 2 != v:
+            return False
+    return True
 
 
 class RowSystem:
     """The row quadratic of one chain row (a, b, c) with a, b != 0.
 
-    Holds the gamma-free parts of A2, A1 and A0 (module docstring) and,
-    from first use on, E, F and G.  solve(gamma) solves at any gamma in
-    c's class mod S; solve(gamma, lam), for gamma = c + lam*S, takes the
-    discriminant from D(lam), scalar-times-polynomial work.  In Z[x] that
-    path first evaluates D(lam) at the integers _EVAL_POINTS, from E, F and
-    G evaluated there once per row.  This drops no solution: D = h^2 in
-    Q[x] gives D(x0) = h(x0)^2, a rational square (0 included), so a shift
-    failing any point has no root for poly_sqrt to find.  roots counts the
-    solves that passed these tests and reached root extraction.
+    solve(gamma) solves at any gamma in c's class mod S, from the
+    gamma-free parts of A2, A1 and A0 (module docstring), built on first
+    solve.  coeffs() gives E, F and G, from which fastscan sieves its pool.
+    Z and Z[x] test each shift lam before gamma = c + lam*S is built:
+
+    - In Z, shift_root(lam) is the integer square root of D(lam) or None:
+      D(lam) is the discriminant at gamma, so this is the root extraction
+      itself, and solve(gamma, root) takes it as given.
+    - In Z[x], square_at_points(lam) requires D(lam) to take a rational
+      square value (0 included) at each integer x0 in _EVAL_POINTS.
+      Evaluation at x0 is a ring homomorphism Q[x] -> Q, so D(lam)(x0) =
+      E(x0)*lam^2 + F(x0)*lam + G(x0), with E(x0), F(x0) and G(x0) given by
+      the same formulas on the scalars S(x0), r(x0), r'(x0), N(x0), a(x0),
+      b(x0) and c(x0): no polynomial is expanded.  Over a common
+      denominator L of the three, each point's test is one isqrt on
+      integers (_squares_at_points).  This drops no solution: D = h^2 in
+      Q[x] gives D(x0) = h(x0)^2, so a shift failing any point has no root
+      for poly_sqrt to find.
     """
 
     def __init__(self, a, b, c, inst: ProblemInstance):
-        S, r, rp = inst.S, inst.r, inst.rPrime
         self.a, self.b, self.c, self.inst = a, b, c, inst
-        self.s2 = S * S
-        self.sr = S * r
-        self.a2 = -(self.s2 * a)
-        self.a2x4 = 4 * self.a2
-        self.beta = S * rp * b - self.sr * a  # A1 - S^2*gamma
-        self.delta = b * (r * rp - inst.N)  # A0 - S*r*gamma
-        self.roots = 0
-        self._efg = None
-        self._points = None
 
-    def _a1(self, gamma):
-        return self.s2 * gamma + self.beta
+    @cached_property
+    def _terms(self):
+        inst = self.inst
+        return _row_terms(inst.S, inst.r, inst.rPrime, inst.N, self.a, self.b)
 
-    def _disc(self, a1, gamma):
-        return a1 * a1 - self.a2x4 * (self.sr * gamma + self.delta)
+    @cached_property
+    def _efg(self):
+        return _disc_coeffs(self.inst.S, self.c, self._terms)
+
+    @cached_property
+    def _points(self) -> list[tuple[int, int, int, int]]:
+        """_scaled_point(E(x0), F(x0), G(x0)) per x0 in _EVAL_POINTS, from
+        the row's inputs evaluated at x0."""
+        inst = self.inst
+        polys = (inst.S, inst.r, inst.rPrime, inst.N, self.a, self.b, self.c)
+        out = []
+        for x0 in _EVAL_POINTS:
+            S, r, rp, N, a, b, c = (p(x0) for p in polys)
+            out.append(_scaled_point(*_disc_coeffs(S, c, _row_terms(S, r, rp, N, a, b))))
+        return out
 
     def coeffs(self):
         """(E, F, G) with D(lam) = E*lam^2 + F*lam + G."""
-        if self._efg is None:
-            S, c = self.inst.S, self.c
-            a1 = self._a1(c)
-            s3 = self.s2 * S
-            self._efg = (s3 * s3,
-                         2 * (a1 * s3) - self.a2x4 * (S * self.sr),
-                         self._disc(a1, c))
         return self._efg
 
-    def disc(self, gamma, lam=None):
-        """The discriminant at gamma, from D(lam) when gamma = c + lam*S."""
-        if lam is None:
-            return self._disc(self._a1(gamma), gamma)
-        E, F, G = self.coeffs()
-        return (E * lam + F) * lam + G if lam else G
+    def disc(self, gamma):
+        """The discriminant A1^2 - 4*A2*A0 at gamma."""
+        s2, sr, _, a2x4, beta, delta = self._terms
+        a1 = s2 * gamma + beta
+        return a1 * a1 - a2x4 * (sr * gamma + delta)
+
+    def shift_root(self, lam: int) -> int | None:
+        """Z: the integer square root of D(lam), or None."""
+        E, F, G = self._efg
+        disc = (E * lam + F) * lam + G
+        if disc < 0:
+            return None
+        root = isqrt(disc)
+        return root if root * root == disc else None
 
     def square_at_points(self, lam) -> bool:
-        """The Z[x] prefilter: D(lam) takes square values at _EVAL_POINTS."""
-        if self._points is None:
-            self._points = _eval_points(*self.coeffs())
+        """Z[x]: D(lam) takes rational square values at _EVAL_POINTS."""
         return _squares_at_points(self._points, lam)
 
-    def solve(self, gamma, lam=None) -> list[SolutionPair]:
-        """Verified solution pairs at gamma (= c + lam*S when lam is given)."""
+    def solve(self, gamma, root=None) -> list[SolutionPair]:
+        """Verified solution pairs at gamma; root, when given, is the
+        square root of the discriminant there."""
         inst = self.inst
         ring = inst.ring
         out: list[SolutionPair] = []
-        if lam is not None and ring.is_poly and not self.square_at_points(lam):
-            return out
-        self.roots += 1
-        root = ring_sqrt(self.disc(gamma, lam), ring)
         if root is None:
-            return out
-        a1 = self._a1(gamma)
+            root = ring_sqrt(self.disc(gamma), ring)
+            if root is None:
+                return out
+        s2, _, a2, _, beta, _ = self._terms
+        a1 = s2 * gamma + beta
         for signed in (root, -root):
-            x = exact_div(-a1 + signed, 2 * self.a2, ring)
+            x = exact_div(-a1 + signed, 2 * a2, ring)
             if x is None:
                 continue
             y = exact_div(gamma - self.a * x, self.b, ring)
@@ -262,23 +306,42 @@ class RowSystem:
         return out
 
 
+def int_linear_passes(a, b, gamma: int, inst: ProblemInstance) -> bool:
+    """Z's test for a linear row (one of a, b zero) at gamma, on ints.
+
+    solve_system's linear path needs the unknown gamma/a (resp. gamma/b) to
+    be exact and the factor S*x + r (resp. S*y + r') it gives to divide N;
+    a gamma failing either has no solution pair.
+    """
+    if a:
+        x, rem = divmod(gamma, a)
+        factor = inst.S * x + inst.r
+    elif b:
+        y, rem = divmod(gamma, b)
+        factor = inst.S * y + inst.rPrime
+    else:
+        return False
+    return not rem and factor != 0 and inst.N % factor == 0
+
+
 def solve_system(a, b, gamma, inst: ProblemInstance, row: RowSystem | None = None,
-                 lam=None) -> list[SolutionPair]:
+                 root=None) -> list[SolutionPair]:
     """Solve {a*x + b*y = gamma, (S*x + r)(S*y + r') = N} exactly.
 
     With a, b != 0 this is the row quadratic of the module docstring,
     solved by radical with an exact square root in the ring (no solutions
     when the discriminant is not a perfect square).  row, the RowSystem of
     the chain row (a, b, c) with gamma in c's class, shares the per-row
-    work between candidates, and lam, given when gamma = c + lam*S, lets
-    it use D(lam); without row one is built at c = gamma.  Degenerate rows
-    fall back to the obvious linear solve.  Every candidate pair passes
-    through the verification gate before being returned.
+    work between candidates, and root, when the caller already has it, is
+    the discriminant's square root (RowSystem.shift_root in Z); without
+    row one is built at c = gamma.  Degenerate rows fall back to the
+    obvious linear solve.  Every candidate pair passes through the
+    verification gate before being returned.
     """
     if a and b:
         if row is None:
             row = RowSystem(a, b, gamma, inst)
-        return row.solve(gamma, lam)
+        return row.solve(gamma, root)
     ring = inst.ring
     S, r, rp, N = inst.S, inst.r, inst.rPrime, inst.N
     out: list[SolutionPair] = []

@@ -17,6 +17,7 @@ import pytest
 import sympy
 
 from resdiv.base import InvalidInstanceError
+from resdiv.families import cohen_instance, seven_signed_instance, standalone_instance
 from resdiv.polynomials import Poly
 from resdiv.remseq import build_instance
 from resdiv.rings import RING_ZX, QuadInt, exact_div, is_unit, quad_ring
@@ -151,6 +152,14 @@ def plant_rational(rng: random.Random, s_lo: int = 50, s_hi: int = 5000):
         if math.gcd(n, s) != 1 or math.gcd(r, s) != 1:
             continue
         return n, s, r, dv
+
+
+def family_triples() -> list[tuple[int, int, int]]:
+    """(N, S, r) of the 38 integer family instances: the standalone record,
+    cohen levels 3..20 and seven-signed bases 2..20."""
+    fams = [standalone_instance()] + [cohen_instance(lv) for lv in range(3, 21)]
+    fams += [seven_signed_instance(base) for base in range(2, 21)]
+    return [(fi.N, fi.S, fi.r) for fi in fams]
 
 
 def sympy_norm_factors(n: int) -> dict[int, int]:

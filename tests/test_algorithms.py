@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from conftest import plant_poly, plant_quad, plant_rational
+from conftest import family_triples, plant_poly, plant_quad, plant_rational
 
 from resdiv import fastscan
 from resdiv.algorithms import (
@@ -11,11 +11,18 @@ from resdiv.algorithms import (
     divisors_rational,
     find_divisors,
 )
-from resdiv.families import cohen_instance, seven_signed_instance, standalone_instance
 from resdiv.oracle import oracle_rational
-from resdiv.polynomials import Poly
-from resdiv.remseq import build_instance
+from resdiv.polynomials import Poly, _sqrt_rational
+from resdiv.remseq import build_chain, build_instance
 from resdiv.rings import RING_Z, RING_ZI, QuadInt, exact_div, quad_ring
+from resdiv.solver import (
+    _EVAL_POINTS,
+    candidate_radius,
+    integer_shifts,
+    poly_rhs_candidates,
+    solve_system,
+    trivial_divisor_check,
+)
 
 
 def test_rational_example():
@@ -85,9 +92,7 @@ def _gaussian_route(n, s, r):
 
 
 def test_integer_search_matches_gaussian_route(z_corpus):
-    fams = [standalone_instance()] + [cohen_instance(lv) for lv in range(3, 21)]
-    fams += [seven_signed_instance(b) for b in range(2, 21)]
-    cases = [(fi.N, fi.S, fi.r) for fi in fams] + [c[:3] for c in z_corpus]
+    cases = family_triples() + [c[:3] for c in z_corpus]
     for n, s, r in cases:
         rep = divisors_rational(n, s, r)
         divisors, witnesses, stats = _gaussian_route(n, s, r)
@@ -95,6 +100,61 @@ def test_integer_search_matches_gaussian_route(z_corpus):
         assert rep.witnesses == witnesses
         for key in ("t", "quad_rows", "linear_rows"):
             assert rep.stats[key] == stats[key]
+
+
+def _reference_search(inst):
+    """find_divisors as a plain loop: every shift's gamma goes to
+    solve_system (no row, no shift test) in shift order.  roots counts the
+    quadratic-row shifts that reach root extraction: all of them in Z, in
+    Z[x] those whose discriminant, built from gamma, takes rational square
+    values at the evaluation points."""
+    ring, S = inst.ring, inst.S
+    chain = build_chain(inst)
+    found = {}
+    stats = dict.fromkeys(("quad_rows", "linear_rows", "candidates", "roots", "solves"), 0)
+    stats["t"] = chain.t
+    for j, pair in enumerate(trivial_divisor_check(inst)):
+        found.setdefault(S * pair.x + inst.r, (pair.x, pair.y, (0, j)))
+        stats["solves"] += 1
+    for i in range(1, chain.t + 1):
+        a, b, c = chain.a[i], chain.b[i], chain.c[i]
+        stats["quad_rows" if a and b else "linear_rows"] += 1
+        if ring.is_int:
+            shifts = integer_shifts(candidate_radius(0))
+        else:
+            shifts = poly_rhs_candidates(a, b, inst)
+        stats["candidates"] += len(shifts)
+        j = 0
+        for lam in shifts:
+            gamma = c + lam * S
+            if a and b:
+                a2 = -(S * S * a)
+                a1 = S * S * gamma + S * inst.rPrime * b - S * inst.r * a
+                a0 = S * inst.r * gamma + b * (inst.r * inst.rPrime - inst.N)
+                disc = a1 * a1 - 4 * a2 * a0
+                if ring.is_int or all(_sqrt_rational(disc(x0)) is not None
+                                      for x0 in _EVAL_POINTS):
+                    stats["roots"] += 1
+            for pair in solve_system(a, b, gamma, inst):
+                found.setdefault(S * pair.x + inst.r, (pair.x, pair.y, (i, j)))
+                j += 1
+                stats["solves"] += 1
+    return found, stats
+
+
+def test_reports_match_reference_search(poly_corpus):
+    # the shift tests and lazy gamma change nothing: divisors, witnesses
+    # (x, y, (i, j)) and every count but seconds are those of the loop that
+    # hands every shift to the solver, on a Z[x] corpus slice and the 38
+    # integer families
+    insts = [inst for inst, _ in poly_corpus[:30]]
+    insts += [build_instance(RING_Z, n, s, r) for n, s, r in family_triples()]
+    for inst in insts:
+        rep = find_divisors(inst)
+        found, stats = _reference_search(inst)
+        assert set(rep.divisors) == set(found)
+        assert rep.witnesses == found
+        assert {k: v for k, v in rep.stats.items() if k != "seconds"} == stats
 
 
 def test_stats_shape():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from conftest import (
     GENERAL_DS,
+    family_triples,
     plant_poly,
     plant_quad,
     plant_rational,
@@ -16,15 +17,17 @@ from hypothesis import strategies as st
 from resdiv.polynomials import Poly
 from resdiv.oracle import oracle_poly
 from resdiv.remseq import build_chain, build_instance
-from resdiv.rings import RING_Z, RING_ZX, QuadInt, exact_div, quad_ring, reduce_mod
+from resdiv.rings import RING_Z, RING_ZX, QuadInt, exact_div, int_sqrt, quad_ring, reduce_mod
 from resdiv.solver import (
     _EVAL_POINTS,
     RowSystem,
     SolutionPair,
-    _eval_points,
+    _scaled_point,
     _squares_at_points,
     candidate_radius,
     enumerate_residues,
+    int_linear_passes,
+    integer_shifts,
     poly_rhs_candidates,
     solve_system,
     trivial_divisor_check,
@@ -301,15 +304,19 @@ def test_row_discriminant_matches_per_gamma():
             if not ring.is_poly or lam_p.degree <= 0:
                 lam_p = lam_p.coeff(0) if ring.is_poly else lam_p
                 shifts.append(lam_p)
-                assert SolutionPair(x, y) in row.solve(c + lam_p * S, lam_p)
+                assert SolutionPair(x, y) in row.solve(c + lam_p * S)
                 planted[ring.name] = planted.get(ring.name, 0) + 1
             for lam in shifts:
                 gamma = c + lam * S
                 want = _per_gamma_disc(a, b, gamma, inst)
                 assert E * lam * lam + F * lam + G == want
-                assert row.disc(gamma, lam) == want
                 assert row.disc(gamma) == want
-                assert row.solve(gamma, lam) == solve_system(a, b, gamma, inst)
+                assert row.solve(gamma) == solve_system(a, b, gamma, inst)
+                if ring.is_int:
+                    root = row.shift_root(lam)
+                    assert root == (int_sqrt(want) if want >= 0 else None)
+                    if root is not None:
+                        assert row.solve(gamma, root) == row.solve(gamma)
     rings = {"z", "zi", "zx"} | {quad_ring(d).name for d in GENERAL_DS}
     assert set(planted) == rings
     assert min(planted.values()) >= 4, planted
@@ -332,30 +339,67 @@ def test_prefilter_passes_every_square(h, e, f, lam, zero_at):
         hp = hp * Poly([-zero_at, 1])
     E, F = Poly(e), Poly(f)
     G = hp * hp - E * lam * lam - F * lam
-    assert _squares_at_points(_eval_points(E, F, G), lam)
+    points = [_scaled_point(E(x0), F(x0), G(x0)) for x0 in _EVAL_POINTS]
+    assert _squares_at_points(points, lam)
+
+
+def _expanded_efg(a, b, c, inst):
+    # E, F and G of the solver docstring, expanded as polynomials
+    S, r, rp, N = inst.S, inst.r, inst.rPrime, inst.N
+    a2 = -(S * S * a)
+    a1 = S * S * c + S * rp * b - S * r * a
+    a0 = S * r * c + b * (r * rp - N)
+    return S ** 6, 2 * a1 * S ** 3 - 4 * a2 * S * S * r, a1 * a1 - 4 * a2 * a0
+
+
+def _poly_rows(inst):
+    chain = build_chain(inst)
+    for k in range(1, chain.t + 1):
+        a, b, c = chain.a[k], chain.b[k], chain.c[k]
+        if a and b:
+            yield a, b, c
+
+
+def test_point_scalars_match_expanded_polynomials(poly_corpus):
+    # the scalars from the row's inputs at each x0 are the values there of
+    # E, F and G expanded in Q[x]
+    rows = 0
+    for inst, _ in poly_corpus:
+        for a, b, c in _poly_rows(inst):
+            E, F, G = _expanded_efg(a, b, c, inst)
+            points = RowSystem(a, b, c, inst)._points
+            assert len(points) == len(_EVAL_POINTS)
+            for x0, (e, f, g, den) in zip(_EVAL_POINTS, points):
+                assert den > 0
+                assert (Fraction(e, den), Fraction(f, den), Fraction(g, den)) == \
+                    (E(x0), F(x0), G(x0))
+            rows += 1
+    assert rows >= 400
+
+
+def _solution_pairs(inst):
+    content, factors = sympy_poly_factors(inst.N)
+    orc = oracle_poly(tuple(inst.N.coeffs), tuple(inst.S.coeffs),
+                      tuple(inst.r.coeffs), content, factors)
+    pairs = []
+    for coeffs in orc.divisors:
+        dv = Poly(coeffs)
+        cof = exact_div(inst.N, dv, RING_ZX)
+        pairs.append(SolutionPair(exact_div(dv - inst.r, inst.S, RING_ZX),
+                                  exact_div(cof - inst.rPrime, inst.S, RING_ZX)))
+    return pairs
 
 
 def test_prefilter_keeps_every_solution_shift(poly_corpus):
     # on every quadratic row of the criterion-4 Z[x] corpus, the shifts at
     # which the reference solver returns a pair (the oracle's divisors give
-    # them all) pass the prefilter; a sample of the rejected shifts is
-    # confirmed empty by the reference solver, which has no prefilter
+    # them all) pass the prefilter; on the first 50 instances every shift
+    # goes to the reference solver (no row, no prefilter), and a sample of
+    # the rejected shifts on the rest
     shifts_seen = rejected = kept = 0
-    for inst, _ in poly_corpus:
-        content, factors = sympy_poly_factors(inst.N)
-        orc = oracle_poly(tuple(inst.N.coeffs), tuple(inst.S.coeffs),
-                          tuple(inst.r.coeffs), content, factors)
-        pairs = []
-        for coeffs in orc.divisors:
-            dv = Poly(coeffs)
-            cof = exact_div(inst.N, dv, RING_ZX)
-            pairs.append(SolutionPair(exact_div(dv - inst.r, inst.S, RING_ZX),
-                                      exact_div(cof - inst.rPrime, inst.S, RING_ZX)))
-        chain = build_chain(inst)
-        for k in range(1, chain.t + 1):
-            a, b, c = chain.a[k], chain.b[k], chain.c[k]
-            if not a or not b:
-                continue
+    for n, (inst, _) in enumerate(poly_corpus):
+        pairs = _solution_pairs(inst)
+        for a, b, c in _poly_rows(inst):
             row = RowSystem(a, b, c, inst)
             shifts = poly_rhs_candidates(a, b, inst)
             passed = [lam for lam in shifts if row.square_at_points(lam)]
@@ -363,7 +407,7 @@ def test_prefilter_keeps_every_solution_shift(poly_corpus):
                 shifts_seen += 1
                 if lam not in passed:
                     rejected += 1
-                    if rejected % 100 == 1:
+                    if n < 50 or rejected % 100 == 1:
                         assert solve_system(a, b, c + lam * inst.S, inst) == []
             for pair in pairs:
                 gamma = a * pair.x + b * pair.y
@@ -374,6 +418,38 @@ def test_prefilter_keeps_every_solution_shift(poly_corpus):
                     kept += 1
     assert kept >= 200
     assert 0 < rejected < shifts_seen
+
+
+# --- the Z shift tests -----------------------------------------------------------
+
+def test_int_shift_tests_keep_every_solution_shift(z_corpus):
+    # every shift of every Z row, quadratic and linear, over the 38 family
+    # instances and the criterion-4 Z corpus: a shift the exact test rejects
+    # gives no pair in the reference solver (no row, no root), and a shift
+    # it keeps solves to the reference's pairs
+    shifts = integer_shifts(candidate_radius(0))
+    counts = {"quad": [0, 0], "linear": [0, 0]}
+    cases = family_triples() + [c[:3] for c in z_corpus]
+    for inst in (build_instance(RING_Z, n, s, r) for n, s, r in cases):
+        chain = build_chain(inst)
+        for k in range(1, chain.t + 1):
+            a, b, c = chain.a[k], chain.b[k], chain.c[k]
+            row = RowSystem(a, b, c, inst) if a and b else None
+            kind = "quad" if row else "linear"
+            for lam in shifts:
+                gamma = c + lam * inst.S
+                want = solve_system(a, b, gamma, inst)
+                if row:
+                    root = row.shift_root(lam)
+                    passed = root is not None
+                    got = solve_system(a, b, gamma, inst, row, root) if passed else []
+                else:
+                    passed = int_linear_passes(a, b, gamma, inst)
+                    got = solve_system(a, b, gamma, inst) if passed else []
+                assert got == want
+                counts[kind][passed] += 1
+    for kind, (rejected, passed) in counts.items():
+        assert rejected > 0 and passed > 0, (kind, counts)
 
 
 # --- the two sweep-invisible solutions ------------------------------------------
