@@ -3,10 +3,10 @@
 The search finds every ring divisor d of N with d = r (mod S), i.e. every
 solution of (S*x + r)(S*y + r') = N, provided the size gate holds
 (normsq(S)^3 > normsq(N), resp. 3*deg S >= deg N).  The two solutions the
-row sweep cannot reach (x = 0 and y = 0) are checked directly first; then
-each chain row contributes candidate gammas that the exact solver turns
-into verified pairs.  Z, the five quadratic rings and Z[x] all take this
-one path; they differ only in where a row's candidates come from.
+quadratic rows cannot reach (x = 0 and y = 0) are checked directly first;
+then each chain row contributes candidate gammas that the exact solver
+turns into verified pairs.  Z, the five quadratic rings and Z[x] all take
+this one path; they differ only in where a row's candidates come from.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ from . import fastscan
 from .remseq import ProblemInstance, build_chain, build_instance
 from .rings import RING_Z, RING_ZX, Element, RingId, exact_div
 from .solver import (
+    FinalRow,
     RowSystem,
     candidate_radius,
     enumerate_residues,
-    int_linear_passes,
     integer_shifts,
     poly_rhs_candidates,
     solve_system,
@@ -38,13 +38,14 @@ class DivisorReport:
     witnesses[d] = (x, y, (i, j)): the solution pair behind d and where it
     was first discovered (chain row i, j-th accepted pair of that row; the
     two trivial checks count as row 0).  stats carries t, the chain rows
-    by kind (quad_rows with a and b nonzero, linear_rows with one of them
-    zero), candidates (every shift of the row in Z and Z[x], the filter's
-    survivors in the quadratic rings), roots (quadratic-row candidates
-    whose discriminant reached root extraction: every one in Z, where the
-    isqrt of D(lam) is that extraction, those passing the evaluation test
-    in Z[x], all of them in the quadratic rings), solves (accepted pairs
-    before deduplication), and seconds.
+    by kind (quad_rows, rows 1..t-1 with a and b nonzero, so t - 1;
+    linear_rows, the final row, so 1), candidates (every shift of every
+    row in Z and Z[x], the filters' survivors in the quadratic rings),
+    roots (quadratic-row candidates whose discriminant reached root
+    extraction: every one in Z, where the isqrt of D(lam) is that
+    extraction, those passing the evaluation test in Z[x], all of them in
+    the quadratic rings), solves (accepted pairs before deduplication),
+    and seconds.
     """
 
     divisors: tuple[Element, ...]
@@ -75,23 +76,26 @@ def find_divisors(
     inst: ProblemInstance,
     *,
     rbound: int | None = None,
-    engine: str = "auto",
+    engine: str = "fast",
 ) -> DivisorReport:
     """Run the full search on a built instance.
 
-    A chain row (a, b, c) hands the exact solver gammas c + lam*S.  In Z
-    lam is every integer with |lam| <= radius + 2 (integer_shifts); in
-    Z[x] it runs over poly_rhs_candidates.  There each shift is first
-    tested on scalars, and gamma is built only for the shifts that pass:
-    RowSystem.shift_root (Z) or square_at_points (Z[x]) on rows with a, b
-    != 0, int_linear_passes on Z's other rows.  Each test only drops
-    shifts at which the solver finds no pair, so the report is that of
-    handing every shift to the solver.  In the quadratic rings engine
-    selects the enumeration: "fast" (the vectorized filter over the lam
-    pool, default under "auto") or "exact" (the reference disk walk; only
-    sensible at a reduced rbound outside the Gaussian ring).  Both feed
-    the same exact solver and report identically.  rbound overrides
-    candidate_radius in Z and in the quadratic rings.
+    The search is the two trivial checks, then the quadratic rows
+    1..t-1 of the chain, then its final row (0, u*S, 0) (build_chain
+    proves that shape).  A chain row (a, b, c) hands the exact solver
+    gammas c + lam*S.  In Z lam is every integer with |lam| <= radius + 2
+    (integer_shifts); in Z[x] it runs over poly_rhs_candidates.  There
+    each shift is first tested on scalars, and gamma is built only for
+    the shifts that pass: RowSystem.shift_root (Z) or square_at_points
+    (Z[x]) on the quadratic rows, FinalRow.passes (the cofactor S*lam/u
+    + r' divides N) on the final row.  Each test only drops shifts at
+    which the solver finds no pair, so the report is that of handing
+    every shift to the solver.  In the quadratic rings engine selects the
+    enumeration: "fast" (the default: fastscan's filters over the lam
+    pool) or "exact" (the reference disk walk; only sensible at a reduced
+    rbound outside the Gaussian ring).  Both feed the same exact solver
+    and report identically.  rbound overrides candidate_radius in Z and
+    in the quadratic rings.
 
     Z finds exactly the real divisors that the Gaussian search of the same
     numbers finds, each in the same chain row:
@@ -111,13 +115,13 @@ def find_divisors(
     accepts a non-real pair ahead of it; stats differ in candidates,
     roots and, by those non-real pairs, solves.
     """
-    if engine not in ("auto", "fast", "exact"):
+    if engine not in ("fast", "exact"):
         raise ValueError(f"unknown engine {engine!r}")
     t0 = time.perf_counter()
     ring = inst.ring
     chain = build_chain(inst)
     found: dict[Element, Witness] = {}
-    ncand = nacc = nroots = nquad = nlin = 0
+    ncand = nacc = nroots = 0
 
     for j, pair in enumerate(trivial_divisor_check(inst)):
         dv = inst.S * pair.x + inst.r
@@ -126,18 +130,14 @@ def find_divisors(
 
     radius = rbound if rbound is not None else candidate_radius(ring.d)
     pool = shifts = None
-    if ring.is_quad and engine != "exact":
+    if ring.is_quad and engine == "fast":
         pool = fastscan.get_pool(ring.d, radius)
     elif ring.is_int:
         shifts = integer_shifts(radius)
 
     for i in range(1, chain.t + 1):
         a, b, c = chain.a[i], chain.b[i], chain.c[i]
-        if a and b:
-            nquad += 1
-        elif a or b:
-            nlin += 1
-        row = RowSystem(a, b, c, inst) if a and b else None
+        row = RowSystem(a, b, c, inst) if i < chain.t else None
         if ring.is_quad:
             if pool is not None:
                 gammas = fastscan.fast_row_candidates(a, b, c, inst, pool)
@@ -149,19 +149,15 @@ def find_divisors(
             if ring.is_poly:
                 shifts = poly_rhs_candidates(a, b, inst)
             ncand += len(shifts)
-            cands = []
-            for lam in shifts:
-                root = None
-                if row is None:
-                    if ring.is_int and not int_linear_passes(a, b, c + lam * inst.S, inst):
-                        continue
-                elif ring.is_int:
-                    root = row.shift_root(lam)
-                    if root is None:
-                        continue
-                elif not row.square_at_points(lam):
-                    continue
-                cands.append((c + lam * inst.S if lam else c, root))
+            if row is None:
+                final = FinalRow(b, inst)
+                kept = [(lam, None) for lam in shifts if final.passes(lam)]
+            elif ring.is_int:
+                kept = [(lam, root) for lam in shifts
+                        if (root := row.shift_root(lam)) is not None]
+            else:
+                kept = [(lam, None) for lam in shifts if row.square_at_points(lam)]
+            cands = [(c + lam * inst.S if lam else c, root) for lam, root in kept]
         if row is not None:
             nroots += len(shifts) if ring.is_int else len(cands)
         j = 0
@@ -176,8 +172,8 @@ def find_divisors(
     divisors = tuple(sorted(found, key=_sort_key(ring)))
     stats = {
         "t": chain.t,
-        "quad_rows": nquad,
-        "linear_rows": nlin,
+        "quad_rows": chain.t - 1,
+        "linear_rows": 1,
         "candidates": ncand,
         "roots": nroots,
         "solves": nacc,

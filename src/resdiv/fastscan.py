@@ -21,13 +21,13 @@ verifies everything anyway.  Nothing here is trusted for soundness, only
 for not discarding true solutions: z in O_K implies its image mod p is a
 square, always.
 
-Linear rows (exactly one of a, b zero).  The quotient gamma/k (k the
-nonzero coefficient) must lie in the ring: gamma*conj(k) = c*conj(k) +
-lam*S*conj(k) must have both half-coordinates divisible by normsq(k), with
-a valid parity, and the resulting factor's norm must divide normsq(N).
-The same three tests run at every magnitude: on int64 arrays below
-conservative guards, on arrays of exact Python ints past them.  normsq(N)
-may have any size; against int64 norms it is reduced digit by digit.
+The final row (0, u*S, 0), u a unit (remseq.build_chain).  There
+gamma = lam*S gives y = lam/u = lam*conj(u), exact at every pool point,
+so a pair needs only the cofactor e = S*y + r' to divide N, and then
+normsq(e) divides normsq(N).  That norm test runs on int64 arrays while a
+conservative bound stays inside the guard and on arrays of exact Python
+ints past it; normsq(N) may have any size, and against int64 norms it is
+reduced digit by digit.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from math import isqrt
 
 import numpy as np
 
-from .rings import QuadInt
+from .rings import QuadInt, exact_div
 from .remseq import ProblemInstance, _is_prime64
 from .solver import RowSystem, candidate_radius
 
@@ -174,70 +174,45 @@ def _mod_small(n: int, m: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _linear_row(a, b, c, inst: ProblemInstance, pool: _Pool) -> list[QuadInt]:
-    """Pool gammas of a row with exactly one of a, b nonzero; superset-safe.
+def _final_row(b, inst: ProblemInstance, pool: _Pool) -> list[QuadInt]:
+    """Pool gammas lam*S of the final row (0, b = u*S, 0) whose cofactor
+    norm divides normsq(N); superset-safe.
 
-    Call the nonzero coefficient k.  The row reads k*x = gamma (a != 0) or
-    k*y = gamma (b != 0), so a solution forces q = gamma/k into O_K: both
-    half-coordinates of w = gamma*conj(k) divisible by normsq(k), with a
-    valid parity.  Its factor S*q + r (resp. S*q + r') divides N, so its
-    norm divides normsq(N).  All three tests are exact integer arithmetic
-    on necessary conditions, so no gamma that carries a solution is
-    dropped.  Each stage runs on int64 arrays when its magnitude bound
-    stays inside _INT64_GUARD and on Python-int (object) arrays otherwise;
-    where ne fits int64, normsq(N) is reduced against it by _mod_small.
+    y = lam*conj(u) has the norm of lam, so its half-coordinates, like
+    lam's, are at most maxlam = 2*(rbound + 2) in size; that bounds every
+    intermediate of e = S*y + r' and of 4*normsq(e).  The test runs on
+    int64 arrays when that bound stays inside _INT64_GUARD and on
+    Python-int (object) arrays otherwise; on int64, normsq(N) is reduced
+    against the norms by _mod_small.
     """
-    k_el = a if a else b
-    base = inst.r if a else inst.rPrime
-    d = pool.d
-    S = inst.S
-    nk = k_el.normsq()
-    kc = k_el.conj()
-    K = c * kc
-    msc = S * kc
+    d, S, rp = pool.d, inst.S, inst.rPrime
+    w = exact_div(b, S, inst.ring).conj()  # u^-1: units have norm 1
     maxlam = 2 * (pool.rbound + 2)
-    bound_w = max(abs(K.u), abs(K.v)) + maxlam * (abs(msc.u) + (-d) * abs(msc.v))
-    lu, lv = pool.lu, pool.lv
-    if bound_w >= _INT64_GUARD or nk >= _INT64_GUARD:
-        lu, lv = lu.astype(object), lv.astype(object)
-
-    wu = K.u + (lu * msc.u + d * lv * msc.v) // 2
-    wv = K.v + (lu * msc.v + lv * msc.u) // 2
-    idx = np.nonzero((wu % nk == 0) & (wv % nk == 0))[0]
-    qu = wu[idx] // nk
-    qv = wv[idx] // nk
-    if d % 4 == 1:
-        par = (qu - qv) % 2 == 0
-    else:
-        par = (qu % 2 == 0) & (qv % 2 == 0)
-    idx, qu, qv = idx[par], qu[par], qv[par]
-    if idx.size == 0:
-        return []
-
-    bq = bound_w // nk + 2
-    be = max(abs(base.u), abs(base.v)) + bq * (abs(S.u) + (-d) * abs(S.v))
+    be = max(abs(rp.u), abs(rp.v)) + maxlam * (abs(S.u) + (-d) * abs(S.v))
     small = be * be * (1 - d) < _INT64_GUARD
-    dtype = np.int64 if small else object
-    qu, qv = qu.astype(dtype, copy=False), qv.astype(dtype, copy=False)
-    eu = (S.u * qu + d * S.v * qv) // 2 + base.u
-    ev = (S.u * qv + S.v * qu) // 2 + base.v
+    lu, lv = pool.lu, pool.lv
+    if not small:
+        lu, lv = lu.astype(object), lv.astype(object)
+    yu = (lu * w.u + d * lv * w.v) // 2
+    yv = (lu * w.v + lv * w.u) // 2
+    eu = (S.u * yu + d * S.v * yv) // 2 + rp.u
+    ev = (S.u * yv + S.v * yu) // 2 + rp.v
     ne = (eu * eu - d * ev * ev) // 4
     n_n = inst.N.normsq()
     ne1 = np.maximum(ne, 1)
     rem = _mod_small(n_n, ne1) if small else n_n % ne1
-    picked = idx[(ne != 0) & (rem == 0)].tolist()
-    return [c + QuadInt(int(pool.lu[i]), int(pool.lv[i]), d) * S for i in picked]
+    picked = np.flatnonzero((ne != 0) & (rem == 0)).tolist()
+    return [QuadInt(int(pool.lu[i]), int(pool.lv[i]), d) * S for i in picked]
 
 
 def fast_row_candidates(a, b, c, inst: ProblemInstance, pool: _Pool) -> list[QuadInt]:
     """Filtered gamma candidates for one chain row; superset-safe.
 
-    Everything returned still goes through the exact solver, so the only
-    contract that matters is never dropping a gamma that carries a true
-    solution inside the pool radius.
+    Rows with a != 0 are the quadratic rows 1..t-1, a = 0 is the final
+    row (remseq.build_chain).  Everything returned still goes through the
+    exact solver, so the only contract that matters is never dropping a
+    gamma that carries a true solution inside the pool radius.
     """
-    if a and b:
+    if a:
         return _quad_row(a, b, c, inst, pool)
-    if a or b:
-        return _linear_row(a, b, c, inst, pool)
-    return []
+    return _final_row(b, inst, pool)

@@ -9,9 +9,10 @@ while carrying b and c along the same quotients:
     c_{k+1} = c_{k-1} - q_k*c_k  (mod S)
 
 c_k is stored reduced mod S at every step; b_k is never reduced.  The chain
-ends at the first zero a_t.  Every solution pair of (Sx+r)(Sy+r') = N
-satisfies a_k*x + b_k*y = c_k (mod S) along the whole chain, which is what
-the candidate sweep exploits.
+ends at the first zero a_t; its last row is then (0, u*S, 0) with u a
+unit, and rows 1..t-1 have a_k, b_k != 0 (proved in build_chain).  Every
+solution pair of (Sx+r)(Sy+r') = N satisfies a_k*x + b_k*y = c_k (mod S)
+along the whole chain, which is what the candidate sweep exploits.
 
 For Z[x] instances the chain lives in Q[x]; exact rationals throughout.
 """
@@ -224,7 +225,34 @@ def build_instance(
 
 
 def build_chain(inst: ProblemInstance) -> RemChain:
-    """Run the chain to the first zero a_t."""
+    """Run the chain to the first zero a_t.
+
+    Every instance build_instance accepts gives a chain of the same shape:
+    rows 1..t-1 have a_k != 0 and b_k != 0, and row t is (0, u*S, 0) with
+    u a unit (+-1 in Z, a unit of O_K, a nonzero rational constant in
+    Q[x]).  So rows 1..t-1 are quadratic rows and the final row is the one
+    linear row.  Proof:
+      1. a_k = b_k*a_1 and c_k = b_k*c_1 (mod S), by induction: both hold
+         at k = 0 (a_0 = S, b_0 = c_0 = 0) and k = 1 (b_1 = 1), the same
+         recurrence drives a, b and c, and reducing c mod S keeps the
+         congruence.
+      2. For 1 <= k < t, a_k != 0 (the chain stops at the first zero) and
+         a_k is smaller than S: a_1 is reduced mod S and each remainder is
+         smaller than its divisor, so normsq(a_k) <= c_d*normsq(S) with
+         c_d = DIV_NORM_BOUND[d] < 1 (|a_k| <= |S|/2 in Z, deg a_k < deg S
+         in Q[x]).  A nonzero multiple of S is not that small, so S does
+         not divide a_k, and b_k != 0 by step 1.
+      3. a_k*b_{k+1} - a_{k+1}*b_k = (-1)^k*S: it is S at k = 0, and one
+         step of the recurrence flips its sign.  At k = t-1, with a_t = 0,
+         a_{t-1}*b_t = +-S.
+      4. a_{t-1} is a gcd of a_0 = S and a_1 (Euclid).  a_1 = r'*r^-1 is a
+         unit mod S, since build_instance makes N and r units mod S, so
+         a_{t-1} is a unit and b_t = u*S with u = +-a_{t-1}^-1.
+      5. c_t = u*S*c_1 = 0 (mod S) by step 1, and c_t is stored reduced,
+         so c_t = 0.
+    The shape is checked once here; a chain without it raises
+    AssertionError.
+    """
     ring = inst.ring
     S, r, rp, N = inst.S, inst.r, inst.rPrime, inst.N
     rinv = mod_inverse(r, S, ring)
@@ -242,7 +270,12 @@ def build_chain(inst: ProblemInstance) -> RemChain:
         a.append(rem)
         b.append(b[-2] - q * b[-1])
         c.append(reduce_mod(c[-2] - q * c[-1], S, ring))
-    return RemChain(tuple(a), tuple(b), tuple(c), tuple(quotients), len(a) - 1)
+    t = len(a) - 1
+    u = exact_div(b[t], S, ring)
+    if not all(b[1:t]) or u is None or not is_unit(u, ring) or c[t]:
+        raise AssertionError(f"chain shape: rows 1..t-1 need b != 0 and row t "
+                             f"(0, unit*S, 0), got ({a[t]}, {b[t]}, {c[t]})")
+    return RemChain(tuple(a), tuple(b), tuple(c), tuple(quotients), t)
 
 
 def congruence_witness(chain: RemChain, x, y, inst: ProblemInstance) -> bool:

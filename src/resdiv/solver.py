@@ -31,6 +31,13 @@ root extraction itself; in Z[x], D(lam) must take rational square values
 at a few integers x0, with E(x0), F(x0) and G(x0) computed from the row's
 inputs evaluated at x0, so E, F and G are never expanded as polynomials.
 A shift that passes takes its discriminant from gamma, A1^2 - 4*A2*A0.
+
+The final row.  Rows 1..t-1 of the chain have a, b != 0; row t is
+(0, u*S, 0) with u a unit (build_chain proves and checks this).  There
+y = gamma/(u*S) = lam/u is exact at every shift, and the pair exists only
+if the cofactor S*y + r' divides N.  Each ring tests that through a map
+to Z that respects products: normsq over the pool in fastscan, the number
+itself in Z, evaluation at the points x0 in Z[x] (FinalRow).
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ from .rings import (
     QuadInt,
     _parity_ok,
     exact_div,
+    ring_one,
     ring_sqrt,
     ring_zero,
 )
@@ -306,22 +314,35 @@ class RowSystem:
         return out
 
 
-def int_linear_passes(a, b, gamma: int, inst: ProblemInstance) -> bool:
-    """Z's test for a linear row (one of a, b zero) at gamma, on ints.
+class FinalRow:
+    """The final chain row (0, u*S, 0) in Z and Z[x], tested per shift on
+    scalars before gamma = lam*S is built.
 
-    solve_system's linear path needs the unknown gamma/a (resp. gamma/b) to
-    be exact and the factor S*x + r (resp. S*y + r') it gives to divide N;
-    a gamma failing either has no solution pair.
+    The row reads u*S*y = lam*S, so y = lam/u is exact for every shift,
+    and a shift carries a pair only if the cofactor S*y + r' divides N.
+    passes(lam) tests that through maps to Z that respect products: in Z
+    the numbers themselves, in Z[x] evaluation at each x0 in _EVAL_POINTS.
+    A cofactor dividing N in Z[x] has an integer value at x0 that divides
+    N(x0) (0 only when N(x0) = 0), so a shift failing any point has no
+    pair for the solver to accept.
     """
-    if a:
-        x, rem = divmod(gamma, a)
-        factor = inst.S * x + inst.r
-    elif b:
-        y, rem = divmod(gamma, b)
-        factor = inst.S * y + inst.rPrime
-    else:
-        return False
-    return not rem and factor != 0 and inst.N % factor == 0
+
+    def __init__(self, b, inst: ProblemInstance):
+        S, rp, N = inst.S, inst.rPrime, inst.N
+        if inst.ring.is_poly:
+            self.inv_u = Fraction(S.lead) / b.lead
+            self.points = [(S(x0), rp(x0), N(x0)) for x0 in _EVAL_POINTS]
+        else:
+            self.inv_u = b // S  # u = +-1 is its own inverse
+            self.points = [(S, rp, N)]
+
+    def passes(self, lam) -> bool:
+        y = lam * self.inv_u
+        for s, rp, n in self.points:
+            cof = s * y + rp
+            if cof.denominator != 1 or (n % cof if cof else n):
+                return False
+        return True
 
 
 def solve_system(a, b, gamma, inst: ProblemInstance, row: RowSystem | None = None,
@@ -334,9 +355,10 @@ def solve_system(a, b, gamma, inst: ProblemInstance, row: RowSystem | None = Non
     the chain row (a, b, c) with gamma in c's class, shares the per-row
     work between candidates, and root, when the caller already has it, is
     the discriminant's square root (RowSystem.shift_root in Z); without
-    row one is built at c = gamma.  Degenerate rows fall back to the
-    obvious linear solve.  Every candidate pair passes through the
-    verification gate before being returned.
+    row one is built at c = gamma.  With one of a, b zero (the final row,
+    the two trivial checks) it is the linear solve: gamma fixes x (resp.
+    y) and so one factor, which must divide N.  Every candidate pair
+    passes through the verification gate before being returned.
     """
     if a and b:
         if row is None:
@@ -376,31 +398,16 @@ def solve_system(a, b, gamma, inst: ProblemInstance, row: RowSystem | None = Non
 
 
 def trivial_divisor_check(inst: ProblemInstance) -> list[SolutionPair]:
-    """The two solutions the sweep cannot see: x = 0 and y = 0.
+    """The two solutions the quadratic rows cannot see: x = 0 and y = 0.
 
-    x = 0 means the divisor is r itself; y = 0 means the cofactor is r'
-    (so the divisor is N/r').  Both are checked by exact division and run
-    through the same acceptance gate as everything else.
+    They are the linear rows (1, 0, 0) and (0, 1, 0) at gamma = 0: x = 0
+    makes the divisor r itself, y = 0 makes the cofactor r' (so the
+    divisor is N/r').  y = 0 is also the final row's lam = 0 candidate; it
+    is solved here as well so that its witness stays (0, j).
     """
-    ring = inst.ring
-    S, r, rp, N = inst.S, inst.r, inst.rPrime, inst.N
-    out: list[SolutionPair] = []
-
-    zero = ring_zero(ring)
-    cof0 = exact_div(N, r, ring)
-    if cof0 is not None:
-        y0 = exact_div(cof0 - rp, S, ring)
-        if y0 is not None:
-            pair = _accept(zero, y0, inst)
-            if pair:
-                out.append(pair)
-
-    if rp:
-        dv1 = exact_div(N, rp, ring)
-        if dv1 is not None:
-            x1 = exact_div(dv1 - r, S, ring)
-            if x1 is not None:
-                pair = _accept(x1, zero, inst)
-                if pair and pair not in out:
-                    out.append(pair)
+    zero, one = ring_zero(inst.ring), ring_one(inst.ring)
+    out = solve_system(one, zero, zero, inst)
+    for pair in solve_system(zero, one, zero, inst):
+        if pair not in out:
+            out.append(pair)
     return out

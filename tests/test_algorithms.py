@@ -181,6 +181,8 @@ def test_engine_validation():
     with pytest.raises(ValueError):
         find_divisors(inst, engine="bogus")
     with pytest.raises(ValueError):
+        find_divisors(inst, engine="auto")  # the old alias of "fast"
+    with pytest.raises(ValueError):
         divisors_quadratic(RING_Z, 12, 5, 1)
 
 

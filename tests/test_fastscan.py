@@ -16,7 +16,7 @@ from resdiv.fastscan import (
     get_pool,
 )
 from resdiv.remseq import _is_prime64, build_chain, build_instance
-from resdiv.rings import QuadInt, quad_ring
+from resdiv.rings import QuadInt, exact_div, quad_ring
 from resdiv.solver import (
     SolutionPair,
     candidate_radius,
@@ -206,6 +206,34 @@ def test_fast_never_drops_exact_solutions_past_int64():
                 assert fast >= exact
                 final_hits += k == chain.t and bool(exact)
     assert final_hits >= 8
+
+
+def test_final_row_matches_norm_reference():
+    # the final row (0, u*S, 0) keeps exactly the pool gammas lam*S whose
+    # cofactor S*lam*conj(u) + r' has a norm dividing normsq(N), in pool
+    # order: on int64 arrays for a small S (normsq(N) below and past 2^63)
+    # and on Python ints for an S past the guard
+    rng = random.Random(80)
+    hits = 0
+    for d, rb in ((-1, 8), (-2, 5), (-3, 6), (-7, 5), (-11, 5)):
+        pool = get_pool(d, rb)
+        lams = [QuadInt(u, v, d) for u, v in zip(pool.lu.tolist(), pool.lv.tolist())]
+        insts = [plant_quad(rng, d, 30, 1000)[0]]
+        insts += [_plant_past_int64(rng, d, 1 << 24, 1 << 32),
+                  _plant_past_int64(rng, d, 1 << 56, 1 << 64)]
+        for inst in insts:
+            chain = build_chain(inst)
+            a, b, c = chain.a[chain.t], chain.b[chain.t], chain.c[chain.t]
+            w = exact_div(b, inst.S, inst.ring).conj()
+            n_n = inst.N.normsq()
+            want = []
+            for lam in lams:
+                ne = (inst.S * lam * w + inst.rPrime).normsq()
+                if ne and n_n % ne == 0:
+                    want.append(lam * inst.S)
+            assert fast_row_candidates(a, b, c, inst, pool) == want
+            hits += len(want)
+    assert hits >= 15
 
 
 def test_mod_small_matches_python_mod():

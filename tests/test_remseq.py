@@ -3,18 +3,21 @@ import random
 from math import isqrt
 
 import pytest
-from conftest import GENERAL_DS, plant_poly, plant_quad, plant_rational
+from conftest import GENERAL_DS, family_triples, plant_poly, plant_quad, plant_rational
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from resdiv.base import InvalidInstanceError
 from resdiv.polynomials import Poly
 from resdiv.remseq import (
+    ProblemInstance,
     _signed_divisors,
     build_chain,
     build_instance,
     chain_dump,
     congruence_witness,
 )
-from resdiv.rings import RING_Z, RING_ZI, RING_ZX, QuadInt, quad_ring, reduce_mod
+from resdiv.rings import RING_Z, RING_ZI, RING_ZX, QuadInt, exact_div, quad_ring, reduce_mod
 
 
 # --- instance validation ------------------------------------------------------
@@ -123,6 +126,56 @@ def test_chain_shape():
         assert len(chain.quotients) == chain.t - 1
         assert chain.a[chain.t] == 0
         assert all(chain.a[k] != 0 for k in range(chain.t))
+
+
+def _assert_chain_shape(inst):
+    # rows 1..t-1 have a, b != 0; row t is (0, u*S, 0) with u a unit
+    chain = build_chain(inst)
+    t, S, ring = chain.t, inst.S, inst.ring
+    assert t >= 2
+    assert all(chain.a[k] and chain.b[k] for k in range(1, t))
+    assert not chain.a[t] and not chain.c[t]
+    u = exact_div(chain.b[t], S, ring)
+    if ring.is_int:
+        assert u in (1, -1)
+    elif ring.is_quad:
+        assert u.normsq() == 1
+    else:
+        assert u.degree == 0
+    assert u * S == chain.b[t]
+
+
+def test_chain_shape_on_every_corpus(z_corpus, zi_corpus, general_corpora, poly_corpus):
+    # the build_chain theorem on every tier-1 corpus: the 38 integer
+    # families, the criterion-4 Z corpus, the five quadratic corpora and
+    # the Z[x] corpus with its non-monic moduli
+    cases = family_triples() + [c[:3] for c in z_corpus]
+    for n, s, r in cases:
+        _assert_chain_shape(build_instance(RING_Z, n, s, r))
+    for inst, _ in zi_corpus + [item for d in GENERAL_DS for item in general_corpora[d]]:
+        _assert_chain_shape(inst)
+    for inst, _ in poly_corpus:
+        _assert_chain_shape(inst)
+    assert sum(inst.S.lead not in (1, -1) for inst, _ in poly_corpus) >= 50
+
+
+@settings(max_examples=400)
+@given(n=st.integers(-10**30, 10**30), s=st.integers(-10**12, 10**12),
+       r=st.integers(-10**12, 10**12))
+def test_chain_shape_property_z(n, s, r):
+    try:
+        inst = build_instance(RING_Z, n, s, r)
+    except InvalidInstanceError:
+        assume(False)
+    _assert_chain_shape(inst)
+
+
+def test_chain_shape_violation_raises():
+    # gcd(N, S) = 2 skips build_instance's check: a_1 = 2 is no unit mod
+    # 10, so b_t = -5 is not a unit times S
+    inst = ProblemInstance(RING_Z, 12, 10, 1, 2, None, True)
+    with pytest.raises(AssertionError):
+        build_chain(inst)
 
 
 def _det_check(chain, inst):

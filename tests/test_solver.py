@@ -20,13 +20,13 @@ from resdiv.remseq import build_chain, build_instance
 from resdiv.rings import RING_Z, RING_ZX, QuadInt, exact_div, int_sqrt, quad_ring, reduce_mod
 from resdiv.solver import (
     _EVAL_POINTS,
+    FinalRow,
     RowSystem,
     SolutionPair,
     _scaled_point,
     _squares_at_points,
     candidate_radius,
     enumerate_residues,
-    int_linear_passes,
     integer_shifts,
     poly_rhs_candidates,
     solve_system,
@@ -423,19 +423,20 @@ def test_prefilter_keeps_every_solution_shift(poly_corpus):
 # --- the Z shift tests -----------------------------------------------------------
 
 def test_int_shift_tests_keep_every_solution_shift(z_corpus):
-    # every shift of every Z row, quadratic and linear, over the 38 family
+    # every shift of every Z row, quadratic and final, over the 38 family
     # instances and the criterion-4 Z corpus: a shift the exact test rejects
     # gives no pair in the reference solver (no row, no root), and a shift
     # it keeps solves to the reference's pairs
     shifts = integer_shifts(candidate_radius(0))
-    counts = {"quad": [0, 0], "linear": [0, 0]}
+    counts = {"quad": [0, 0], "final": [0, 0]}
     cases = family_triples() + [c[:3] for c in z_corpus]
     for inst in (build_instance(RING_Z, n, s, r) for n, s, r in cases):
         chain = build_chain(inst)
         for k in range(1, chain.t + 1):
             a, b, c = chain.a[k], chain.b[k], chain.c[k]
-            row = RowSystem(a, b, c, inst) if a and b else None
-            kind = "quad" if row else "linear"
+            row = RowSystem(a, b, c, inst) if k < chain.t else None
+            final = FinalRow(b, inst) if row is None else None
+            kind = "quad" if row else "final"
             for lam in shifts:
                 gamma = c + lam * inst.S
                 want = solve_system(a, b, gamma, inst)
@@ -444,12 +445,34 @@ def test_int_shift_tests_keep_every_solution_shift(z_corpus):
                     passed = root is not None
                     got = solve_system(a, b, gamma, inst, row, root) if passed else []
                 else:
-                    passed = int_linear_passes(a, b, gamma, inst)
+                    passed = final.passes(lam)
                     got = solve_system(a, b, gamma, inst) if passed else []
                 assert got == want
                 counts[kind][passed] += 1
     for kind, (rejected, passed) in counts.items():
         assert rejected > 0 and passed > 0, (kind, counts)
+
+
+def test_poly_final_row_keeps_every_solution_shift(poly_corpus):
+    # on the final row of every criterion-4 Z[x] instance (monic and
+    # non-monic S), each shift at which the unfiltered solver returns a
+    # pair passes the evaluation test, and some shifts are rejected
+    seen = rejected = kept = nonmonic = 0
+    for inst, _ in poly_corpus:
+        chain = build_chain(inst)
+        b = chain.b[chain.t]
+        final = FinalRow(b, inst)
+        nonmonic += inst.S.lead not in (1, -1)
+        for lam in poly_rhs_candidates(chain.a[chain.t], b, inst):
+            seen += 1
+            pairs = solve_system(chain.a[chain.t], b, lam * inst.S, inst)
+            if final.passes(lam):
+                kept += bool(pairs)
+            else:
+                assert pairs == []
+                rejected += 1
+    assert kept >= 80 and nonmonic >= 50
+    assert 0 < rejected < seen
 
 
 # --- the two sweep-invisible solutions ------------------------------------------
