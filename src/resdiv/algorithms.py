@@ -41,11 +41,10 @@ class DivisorReport:
     by kind (quad_rows, rows 1..t-1 with a and b nonzero, so t - 1;
     linear_rows, the final row, so 1), candidates (every shift of every
     row in Z and Z[x], the filters' survivors in the quadratic rings),
-    roots (quadratic-row candidates whose discriminant reached root
-    extraction: every one in Z, where the isqrt of D(lam) is that
-    extraction, those passing the evaluation test in Z[x], all of them in
-    the quadratic rings), solves (accepted pairs before deduplication),
-    and seconds.
+    roots (quadratic-row candidates handed to the exact solver, in every
+    ring: those passing the scalar test in Z and Z[x], all of them in the
+    quadratic rings), solves (accepted pairs before deduplication), and
+    seconds.
     """
 
     divisors: tuple[Element, ...]
@@ -84,13 +83,14 @@ def find_divisors(
     1..t-1 of the chain, then its final row (0, u*S, 0) (build_chain
     proves that shape).  A chain row (a, b, c) hands the exact solver
     gammas c + lam*S.  In Z lam is every integer with |lam| <= radius + 2
-    (integer_shifts); in Z[x] it runs over poly_rhs_candidates.  There
-    each shift is first tested on scalars, and gamma is built only for
-    the shifts that pass: RowSystem.shift_root (Z) or square_at_points
-    (Z[x]) on the quadratic rows, FinalRow.passes (the cofactor S*lam/u
-    + r' divides N) on the final row.  Each test only drops shifts at
-    which the solver finds no pair, so the report is that of handing
-    every shift to the solver.  In the quadratic rings engine selects the
+    (integer_shifts); in Z[x] it is n/m, n over poly_rhs_candidates and
+    m the row's shift denominator.  There each shift is first tested on
+    the row's scalar images, and gamma is built only for the shifts that
+    pass (gammas): on the quadratic rows RowSystem.keep (D(n/m) is a
+    rational square), on the final row FinalRow.keep (the cofactor
+    S*lam/u + r' divides N).  Each test only drops shifts at which the
+    solver finds no pair, so the report is that of handing every shift
+    to the solver.  In the quadratic rings engine selects the
     enumeration: "fast" (the default: fastscan's filters over the lam
     pool) or "exact" (the reference disk walk; only sensible at a reduced
     rbound outside the Gaussian ring).  Both feed the same exact solver
@@ -144,25 +144,16 @@ def find_divisors(
             else:
                 gammas = enumerate_residues(c, inst.S, radius, ring)
             ncand += len(gammas)
-            cands = [(gamma, None) for gamma in gammas]
         else:
             if ring.is_poly:
                 shifts = poly_rhs_candidates(a, b, inst)
             ncand += len(shifts)
-            if row is None:
-                final = FinalRow(b, inst)
-                kept = [(lam, None) for lam in shifts if final.passes(lam)]
-            elif ring.is_int:
-                kept = [(lam, root) for lam in shifts
-                        if (root := row.shift_root(lam)) is not None]
-            else:
-                kept = [(lam, None) for lam in shifts if row.square_at_points(lam)]
-            cands = [(c + lam * inst.S if lam else c, root) for lam, root in kept]
+            gammas = (row or FinalRow(a, b, c, inst)).gammas(shifts)
         if row is not None:
-            nroots += len(shifts) if ring.is_int else len(cands)
+            nroots += len(gammas)
         j = 0
-        for gamma, root in cands:
-            for pair in solve_system(a, b, gamma, inst, row, root):
+        for gamma in gammas:
+            for pair in solve_system(a, b, gamma, inst, row):
                 dv = inst.S * pair.x + inst.r
                 found.setdefault(dv, (pair.x, pair.y, (i, j)))
                 j += 1

@@ -112,8 +112,10 @@ def search_records(
     with at least `target` positive divisors congruent to r.
 
     Candidates walk k (the planted divisor's class index) outer and the
-    cofactor m inner, skipping gcd-degenerate pairs; every candidate costs
-    one search run against max_checks.  Hits inside oracle range are
+    cofactor m inner; every candidate costs one search run against
+    max_checks.  A modulus with gcd(S, r) != 1 is skipped whole, since
+    gcd(S, k*S + r) = gcd(S, r) then rules out every k, and so is each N
+    sharing a factor with S.  Hits inside oracle range are
     re-verified by trial division (a disagreement raises, since it would
     mean the search itself is broken).  exhausted reports whether the
     budget ran out before the enumeration finished.
@@ -122,7 +124,7 @@ def search_records(
     checked = 0
     budget = max_checks
     for s in s_values:
-        if s < 2:
+        if s < 2 or math.gcd(s, r) != 1:
             continue
         cube = s**3
         seen = set()
@@ -130,14 +132,12 @@ def search_records(
             rho = k * s + r
             if rho >= cube or rho <= 0:
                 break
-            if math.gcd(s, rho) != 1:
-                continue
             for m in range(1, (cube - 1) // rho + 1):
                 n = rho * m
                 if n < 2 or n in seen:
                     continue
                 seen.add(n)
-                if math.gcd(n, s) != 1 or math.gcd(s, r % s or s) != 1:
+                if math.gcd(n, s) != 1:
                     continue
                 if budget <= 0:
                     return SearchOutcome(tuple(hits), checked, True)

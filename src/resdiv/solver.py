@@ -25,19 +25,24 @@ the discriminant A1^2 - 4*A2*A0 is a quadratic in the shift,
 with E, F and G fixed per row.  The algebra is the same in Z, in the
 quadratic rings and in Z[x], and in any commutative ring the formulas are
 evaluated in.  fastscan sieves D(lam) for squareness modulo small primes
-over its lam pool.  Z and Z[x] test each shift on plain scalars before
-gamma is built (RowSystem): in Z, D(lam) is an integer whose isqrt is the
-root extraction itself; in Z[x], D(lam) must take rational square values
-at a few integers x0, with E(x0), F(x0) and G(x0) computed from the row's
-inputs evaluated at x0, so E, F and G are never expanded as polynomials.
-A shift that passes takes its discriminant from gamma, A1^2 - 4*A2*A0.
+over its lam pool.
+
+Shift tests in Z and Z[x].  There a row's shifts are integers n over the
+row's denominator m (lam = n/m; m = 1 in Z, shift_denominator), and each
+is tested on the row's scalar images before gamma is built: the numbers
+themselves in Z, the values at a few integers x0 in Z[x], where every
+input of the row is evaluated and no polynomial is expanded.  On a
+quadratic row (RowSystem) D(n/m) must be a rational square at every
+image, one isqrt each; a shift that passes is solved at gamma, which
+takes its discriminant A1^2 - 4*A2*A0 from gamma and its root from the
+ring.
 
 The final row.  Rows 1..t-1 of the chain have a, b != 0; row t is
 (0, u*S, 0) with u a unit (build_chain proves and checks this).  There
 y = gamma/(u*S) = lam/u is exact at every shift, and the pair exists only
 if the cofactor S*y + r' divides N.  Each ring tests that through a map
-to Z that respects products: normsq over the pool in fastscan, the number
-itself in Z, evaluation at the points x0 in Z[x] (FinalRow).
+to Z that respects products: normsq over the pool in fastscan, the images
+in Z and Z[x] (FinalRow).
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from functools import cached_property
 from math import isqrt, lcm
 from typing import NamedTuple
 
-from .polynomials import Coeff, Poly
+from .polynomials import Poly
 from .rings import (
     Element,
     QuadInt,
@@ -78,9 +83,10 @@ def candidate_radius(d: int) -> int:
 
 def integer_shifts(rbound: int) -> list[int]:
     """The Z sweep: every integer lam with |lam| <= rbound + 2, in
-    (lam^2, lam) order, i.e. the real points of the Gaussian pool of the
-    same radius (fastscan._Pool) in the pool's order."""
-    return sorted(range(-rbound - 2, rbound + 3), key=lambda lam: (lam * lam, lam))
+    (lam^2, lam) order (0, -1, 1, -2, 2, ...), i.e. the real points of the
+    Gaussian pool of the same radius (fastscan._Pool) in the pool's
+    order."""
+    return [0] + [lam for k in range(1, rbound + 3) for lam in (-k, k)]
 
 
 def enumerate_residues(c: QuadInt, S: QuadInt, rbound: int, ring) -> list[QuadInt]:
@@ -114,12 +120,23 @@ def enumerate_residues(c: QuadInt, S: QuadInt, rbound: int, ring) -> list[QuadIn
     return out
 
 
-def poly_rhs_candidates(a: Poly, b: Poly, inst: ProblemInstance) -> list[Coeff]:
-    """Candidate shifts lam for one Z[x] chain row (a, b, c): gamma = c + lam*S.
+def shift_denominator(a, b, inst: ProblemInstance) -> int:
+    """The denominator m of the Z or Z[x] chain row (a, b, .): every shift
+    of the row is lam = n/m for an integer n.  m is 1 in Z and
+    lead(S)*lcm(den lead(a), den lead(b)) in Z[x] (see
+    poly_rhs_candidates); it is negative when lead(S) is."""
+    if not inst.ring.is_poly:
+        return 1
+    return inst.S.lead * lcm(a.lead.denominator, b.lead.denominator)
+
+
+def poly_rhs_candidates(a: Poly, b: Poly, inst: ProblemInstance) -> list[int]:
+    """Candidate shifts lam = n/m for one Z[x] chain row (a, b, c), as the
+    integers n over m = shift_denominator(a, b, inst): gamma = c + lam*S.
 
     gamma = a*f + b*g mod S for a solution pair forces the coefficient of
     x^(deg S) in gamma to be lead(a*f + b*g)/lead(S) whenever that product
-    reaches degree deg S.  Writing dL for a divisor of lead(N)/lead(S)^2
+    reaches degree deg S.  Writing dL for a divisor of M = lead(N)/lead(S)^2
     (the leading coefficient of f; the cofactor side then has
     lead g = M/dL), the possible shifts above the reduced c are:
 
@@ -128,35 +145,31 @@ def poly_rhs_candidates(a: Poly, b: Poly, inst: ProblemInstance) -> list[Coeff]:
         lead(b)*(M/dL) / lead(S)                    only the b*g term
 
     over all signed dL in the instance lead list, plus lam = 0 (gamma = c).
-    The set is a superset of what a degree analysis would keep; spurious
-    candidates are discarded by the exact solver.
+    With m = lead(S)*k, k the lcm of the denominators of lead(a) and
+    lead(b), each is n/m with n the same sum over lead(a)*k and lead(b)*k,
+    both integers.  The set is a superset of what a degree analysis would
+    keep; spurious candidates are discarded by the exact solver.
 
     The shifts come in the order of their gammas by (degree, coefficients):
     0 first, since deg c < deg S, then the rest by lam*sign(s_k), s_k the
-    lowest nonzero coefficient of S, where those gammas first differ.
+    lowest nonzero coefficient of S, where those gammas first differ; that
+    is the order of n*sign(s_k)*sign(m).
     """
     if inst.lead_list is None:
         raise ValueError("poly_rhs_candidates requires a Z[x] instance")
+    S = inst.S
+    m = shift_denominator(a, b, inst)
+    k = m // S.lead
+    la, lb = int(a.lead * k), int(b.lead * k)
+    q = inst.N.lead // (S.lead * S.lead)
     shifts = set()
-    leads = inst.lead_list
-    if leads:
-        l_s = inst.S.lead
-        m = inst.N.lead // (inst.S.lead * inst.S.lead)
-        la, lb = a.lead, b.lead
-        for d_l in leads:
-            if m % d_l:
-                continue
-            d_m = m // d_l
-            nums = [la * d_l + lb * d_m]
-            if a:
-                nums.append(la * d_l)
-            if b:
-                nums.append(lb * d_m)
-            for num in nums:
-                if num:
-                    shifts.add(num // l_s if num % l_s == 0 else Fraction(num, l_s))
-    sign = 1 if next(v for v in inst.S.coeffs if v) > 0 else -1
-    return [0] + sorted(shifts, key=lambda lam: lam * sign)
+    for d_l in inst.lead_list:
+        if q % d_l == 0:
+            n_a, n_b = la * d_l, lb * (q // d_l)
+            shifts.update((n_a + n_b, n_a, n_b))
+    shifts.discard(0)
+    s_k = next(v for v in S.coeffs if v)
+    return [0] + sorted(shifts, reverse=(s_k > 0) != (m > 0))
 
 
 def _accept(x, y, inst: ProblemInstance) -> SolutionPair | None:
@@ -177,8 +190,17 @@ def _accept(x, y, inst: ProblemInstance) -> SolutionPair | None:
     return SolutionPair(x, y)
 
 
-# integers at which a Z[x] row discriminant D(lam) must take square values
+# integers at which Z[x] rows are tested, by evaluation there
 _EVAL_POINTS = (1, -1, 2, 3)
+
+
+def _images(ring, *xs) -> list[tuple]:
+    """The row tests' scalar images of xs, one tuple per map to Q that
+    respects sums and products: the numbers themselves in Z, the values at
+    each x0 in _EVAL_POINTS in Z[x]."""
+    if ring.is_poly:
+        return [tuple(p(x0) for p in xs) for x0 in _EVAL_POINTS]
+    return [xs]
 
 
 def _row_terms(S, r, rp, N, a, b):
@@ -199,51 +221,59 @@ def _disc_coeffs(S, c, terms):
     return s3 * s3, 2 * (a1 * s3) - a2x4 * (S * sr), a1 * a1 - a2x4 * (sr * c + delta)
 
 
-def _scaled_point(E, F, G) -> tuple[int, int, int, int]:
-    """(e, f, g, L), integers with (E, F, G) = (e, f, g)/L, L > 0."""
+def _fold(E, F, G, m) -> tuple[int, int, int]:
+    """(L*e, L*f*m, L*g*m^2) for rationals (E, F, G) = (e, f, g)/L over
+    integers, L > 0: D(n/m) = E*(n/m)^2 + F*(n/m) + G is a rational square
+    exactly when (L*e*n + L*f*m)*n + L*g*m^2 = L^2*m^2*D(n/m) is an integer
+    square."""
     den = lcm(E.denominator, F.denominator, G.denominator)
-    return (E.numerator * (den // E.denominator), F.numerator * (den // F.denominator),
-            G.numerator * (den // G.denominator), den)
+    return (E.numerator * (den // E.denominator) * den,
+            F.numerator * (den // F.denominator) * den * m,
+            G.numerator * (den // G.denominator) * den * m * m)
 
 
-def _squares_at_points(points, lam) -> bool:
-    """Whether E*lam^2 + F*lam + G is a rational square (0 included) at
-    every point, given as _scaled_point(E, F, G).  With lam = n/m the value
-    is (e*n^2 + f*n*m + g*m^2)/(L*m^2), a rational square exactly when
-    L*(e*n^2 + f*n*m + g*m^2) is an integer square."""
-    n, m = lam.numerator, lam.denominator
-    for e, f, g, den in points:
-        v = ((e * n + f * m) * n + g * m * m) * den
-        if v < 0 or isqrt(v) ** 2 != v:
-            return False
-    return True
+class _ShiftRow:
+    """A chain row (a, b, c) whose Z and Z[x] shifts are tested on scalars
+    before gamma is built.
+
+    A shift is an integer n with lam = n/m, m = shift_denominator(a, b,
+    inst).  keep(shifts), defined by RowSystem and FinalRow, is the test:
+    it returns the shifts that pass on every scalar image of the row
+    (_images), in order, and gammas(shifts) builds gamma = c + (n/m)*S for
+    those alone (n*S when m = 1, so Z stays in the integers).  Each image
+    is a map to Q that respects sums and products, so a relation that
+    holds for a solution pair in the ring holds at every image, and a
+    shift failing any image carries no pair for the solver to accept.
+    """
+
+    def __init__(self, a, b, c, inst: ProblemInstance):
+        self.a, self.b, self.c, self.inst = a, b, c, inst
+        self.m = shift_denominator(a, b, inst)
+
+    def gammas(self, shifts: list[int]) -> list:
+        S, c, m = self.inst.S, self.c, self.m
+        return [c + (n if m == 1 else Fraction(n, m)) * S if n else c
+                for n in self.keep(shifts)]
 
 
-class RowSystem:
+class RowSystem(_ShiftRow):
     """The row quadratic of one chain row (a, b, c) with a, b != 0.
 
     solve(gamma) solves at any gamma in c's class mod S, from the
     gamma-free parts of A2, A1 and A0 (module docstring), built on first
     solve.  coeffs() gives E, F and G, from which fastscan sieves its pool.
-    Z and Z[x] test each shift lam before gamma = c + lam*S is built:
 
-    - In Z, shift_root(lam) is the integer square root of D(lam) or None:
-      D(lam) is the discriminant at gamma, so this is the root extraction
-      itself, and solve(gamma, root) takes it as given.
-    - In Z[x], square_at_points(lam) requires D(lam) to take a rational
-      square value (0 included) at each integer x0 in _EVAL_POINTS.
-      Evaluation at x0 is a ring homomorphism Q[x] -> Q, so D(lam)(x0) =
-      E(x0)*lam^2 + F(x0)*lam + G(x0), with E(x0), F(x0) and G(x0) given by
-      the same formulas on the scalars S(x0), r(x0), r'(x0), N(x0), a(x0),
-      b(x0) and c(x0): no polynomial is expanded.  Over a common
-      denominator L of the three, each point's test is one isqrt on
-      integers (_squares_at_points).  This drops no solution: D = h^2 in
-      Q[x] gives D(x0) = h(x0)^2, so a shift failing any point has no root
-      for poly_sqrt to find.
+    In Z and Z[x], keep(shifts) requires D(n/m) to be a rational square (0
+    included) at every image.  On an image the row's inputs are scalars,
+    and E, F and G come from the same formulas on them, so no polynomial
+    is expanded.  Over a common denominator L there, (E, F, G) = (e, f,
+    g)/L and D(n/m) = (e*n^2 + f*m*n + g*m^2)/(L*m^2), a rational square
+    exactly when (e'*n + f')*n + g' is an integer square, with (e', f', g')
+    = (L*e, L*f*m, L*g*m^2) folded once per row (_fold): one isqrt per
+    image.  In Z that is (E*n + F)*n + G itself.  D = h^2 in the ring
+    gives D(x0) = h(x0)^2 at every image, so a rejected shift has no root
+    for the solver to find.
     """
-
-    def __init__(self, a, b, c, inst: ProblemInstance):
-        self.a, self.b, self.c, self.inst = a, b, c, inst
 
     @cached_property
     def _terms(self):
@@ -251,24 +281,19 @@ class RowSystem:
         return _row_terms(inst.S, inst.r, inst.rPrime, inst.N, self.a, self.b)
 
     @cached_property
-    def _efg(self):
-        return _disc_coeffs(self.inst.S, self.c, self._terms)
-
-    @cached_property
-    def _points(self) -> list[tuple[int, int, int, int]]:
-        """_scaled_point(E(x0), F(x0), G(x0)) per x0 in _EVAL_POINTS, from
-        the row's inputs evaluated at x0."""
+    def _folded(self) -> list[tuple[int, int, int]]:
+        """(e', f', g') per image (class docstring).  Z's one image is the
+        row itself, so its terms are the _terms that solve() uses."""
         inst = self.inst
-        polys = (inst.S, inst.r, inst.rPrime, inst.N, self.a, self.b, self.c)
-        out = []
-        for x0 in _EVAL_POINTS:
-            S, r, rp, N, a, b, c = (p(x0) for p in polys)
-            out.append(_scaled_point(*_disc_coeffs(S, c, _row_terms(S, r, rp, N, a, b))))
-        return out
+        if not inst.ring.is_poly:
+            return [_fold(*_disc_coeffs(inst.S, self.c, self._terms), 1)]
+        return [_fold(*_disc_coeffs(S, c, _row_terms(S, r, rp, N, a, b)), self.m)
+                for S, r, rp, N, a, b, c in _images(inst.ring, inst.S, inst.r, inst.rPrime,
+                                                    inst.N, self.a, self.b, self.c)]
 
     def coeffs(self):
         """(E, F, G) with D(lam) = E*lam^2 + F*lam + G."""
-        return self._efg
+        return _disc_coeffs(self.inst.S, self.c, self._terms)
 
     def disc(self, gamma):
         """The discriminant A1^2 - 4*A2*A0 at gamma."""
@@ -276,29 +301,26 @@ class RowSystem:
         a1 = s2 * gamma + beta
         return a1 * a1 - a2x4 * (sr * gamma + delta)
 
-    def shift_root(self, lam: int) -> int | None:
-        """Z: the integer square root of D(lam), or None."""
-        E, F, G = self._efg
-        disc = (E * lam + F) * lam + G
-        if disc < 0:
-            return None
-        root = isqrt(disc)
-        return root if root * root == disc else None
+    def keep(self, shifts: list[int]) -> list[int]:
+        images = self._folded
+        out = []
+        for n in shifts:
+            for e, f, g in images:
+                v = (e * n + f) * n + g
+                if v < 0 or isqrt(v) ** 2 != v:
+                    break
+            else:
+                out.append(n)
+        return out
 
-    def square_at_points(self, lam) -> bool:
-        """Z[x]: D(lam) takes rational square values at _EVAL_POINTS."""
-        return _squares_at_points(self._points, lam)
-
-    def solve(self, gamma, root=None) -> list[SolutionPair]:
-        """Verified solution pairs at gamma; root, when given, is the
-        square root of the discriminant there."""
+    def solve(self, gamma) -> list[SolutionPair]:
+        """Verified solution pairs at gamma."""
         inst = self.inst
         ring = inst.ring
         out: list[SolutionPair] = []
+        root = ring_sqrt(self.disc(gamma), ring)
         if root is None:
-            root = ring_sqrt(self.disc(gamma), ring)
-            if root is None:
-                return out
+            return out
         s2, _, a2, _, beta, _ = self._terms
         a1 = s2 * gamma + beta
         for signed in (root, -root):
@@ -314,56 +336,55 @@ class RowSystem:
         return out
 
 
-class FinalRow:
-    """The final chain row (0, u*S, 0) in Z and Z[x], tested per shift on
-    scalars before gamma = lam*S is built.
+class FinalRow(_ShiftRow):
+    """The final chain row (0, u*S, 0) in Z and Z[x].
 
-    The row reads u*S*y = lam*S, so y = lam/u is exact for every shift,
-    and a shift carries a pair only if the cofactor S*y + r' divides N.
-    passes(lam) tests that through maps to Z that respect products: in Z
-    the numbers themselves, in Z[x] evaluation at each x0 in _EVAL_POINTS.
-    A cofactor dividing N in Z[x] has an integer value at x0 that divides
-    N(x0) (0 only when N(x0) = 0), so a shift failing any point has no
-    pair for the solver to accept.
+    The row reads u*S*y = lam*S, so y = lam/u = n*step, step = 1/(u*m), is
+    exact for every shift, and a shift carries a pair only if the cofactor
+    S*y + r' divides N.  keep(shifts) tests that on every image: there the
+    cofactor must be an integer dividing N's image (0 only when that image
+    is 0).  In Z, u = b/S = +-1 is its own inverse and m = 1, so step = u;
+    in Z[x], u = lead(b)/lead(S).
     """
 
-    def __init__(self, b, inst: ProblemInstance):
-        S, rp, N = inst.S, inst.rPrime, inst.N
-        if inst.ring.is_poly:
-            self.inv_u = Fraction(S.lead) / b.lead
-            self.points = [(S(x0), rp(x0), N(x0)) for x0 in _EVAL_POINTS]
-        else:
-            self.inv_u = b // S  # u = +-1 is its own inverse
-            self.points = [(S, rp, N)]
+    def __init__(self, a, b, c, inst: ProblemInstance):
+        super().__init__(a, b, c, inst)
+        S = inst.S
+        self.step = Fraction(S.lead) / (b.lead * self.m) if inst.ring.is_poly else b // S
+        self.images = _images(inst.ring, S, inst.rPrime, inst.N)
 
-    def passes(self, lam) -> bool:
-        y = lam * self.inv_u
-        for s, rp, n in self.points:
-            cof = s * y + rp
-            if cof.denominator != 1 or (n % cof if cof else n):
-                return False
-        return True
+    def keep(self, shifts: list[int]) -> list[int]:
+        step = self.step
+        out = []
+        for n in shifts:
+            y = n * step
+            for s, rp, N in self.images:
+                cof = s * y + rp
+                if cof.denominator != 1 or (N % cof if cof else N):
+                    break
+            else:
+                out.append(n)
+        return out
 
 
-def solve_system(a, b, gamma, inst: ProblemInstance, row: RowSystem | None = None,
-                 root=None) -> list[SolutionPair]:
+def solve_system(a, b, gamma, inst: ProblemInstance,
+                 row: RowSystem | None = None) -> list[SolutionPair]:
     """Solve {a*x + b*y = gamma, (S*x + r)(S*y + r') = N} exactly.
 
     With a, b != 0 this is the row quadratic of the module docstring,
     solved by radical with an exact square root in the ring (no solutions
     when the discriminant is not a perfect square).  row, the RowSystem of
     the chain row (a, b, c) with gamma in c's class, shares the per-row
-    work between candidates, and root, when the caller already has it, is
-    the discriminant's square root (RowSystem.shift_root in Z); without
-    row one is built at c = gamma.  With one of a, b zero (the final row,
-    the two trivial checks) it is the linear solve: gamma fixes x (resp.
-    y) and so one factor, which must divide N.  Every candidate pair
-    passes through the verification gate before being returned.
+    work between candidates; without it one is built at c = gamma.  With
+    one of a, b zero (the final row, the two trivial checks) it is the
+    linear solve: gamma fixes x (resp. y) and so one factor, which must
+    divide N.  Every candidate pair passes through the verification gate
+    before being returned.
     """
     if a and b:
         if row is None:
             row = RowSystem(a, b, gamma, inst)
-        return row.solve(gamma, root)
+        return row.solve(gamma)
     ring = inst.ring
     S, r, rp, N = inst.S, inst.r, inst.rPrime, inst.N
     out: list[SolutionPair] = []

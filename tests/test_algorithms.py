@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from conftest import family_triples, plant_poly, plant_quad, plant_rational
@@ -20,6 +21,7 @@ from resdiv.solver import (
     candidate_radius,
     integer_shifts,
     poly_rhs_candidates,
+    shift_denominator,
     solve_system,
     trivial_divisor_check,
 )
@@ -105,9 +107,9 @@ def test_integer_search_matches_gaussian_route(z_corpus):
 def _reference_search(inst):
     """find_divisors as a plain loop: every shift's gamma goes to
     solve_system (no row, no shift test) in shift order.  roots counts the
-    quadratic-row shifts that reach root extraction: all of them in Z, in
-    Z[x] those whose discriminant, built from gamma, takes rational square
-    values at the evaluation points."""
+    quadratic-row shifts whose discriminant, built from gamma, is a square
+    in Z, resp. takes rational square values at the evaluation points in
+    Z[x]."""
     ring, S = inst.ring, inst.S
     chain = build_chain(inst)
     found = {}
@@ -122,7 +124,8 @@ def _reference_search(inst):
         if ring.is_int:
             shifts = integer_shifts(candidate_radius(0))
         else:
-            shifts = poly_rhs_candidates(a, b, inst)
+            m = shift_denominator(a, b, inst)
+            shifts = [Fraction(n, m) for n in poly_rhs_candidates(a, b, inst)]
         stats["candidates"] += len(shifts)
         j = 0
         for lam in shifts:
@@ -132,8 +135,8 @@ def _reference_search(inst):
                 a1 = S * S * gamma + S * inst.rPrime * b - S * inst.r * a
                 a0 = S * inst.r * gamma + b * (inst.r * inst.rPrime - inst.N)
                 disc = a1 * a1 - 4 * a2 * a0
-                if ring.is_int or all(_sqrt_rational(disc(x0)) is not None
-                                      for x0 in _EVAL_POINTS):
+                images = [disc(x0) for x0 in _EVAL_POINTS] if ring.is_poly else [disc]
+                if all(_sqrt_rational(v) is not None for v in images):
                     stats["roots"] += 1
             for pair in solve_system(a, b, gamma, inst):
                 found.setdefault(S * pair.x + inst.r, (pair.x, pair.y, (i, j)))

@@ -114,3 +114,11 @@ def test_search_budget():
 def test_search_skips_degenerate_moduli():
     out = search_records([0, 1], target=1)
     assert out == type(out)((), 0, False)
+
+
+def test_search_skips_moduli_sharing_a_factor_with_r():
+    # gcd(S, k*S + r) = gcd(S, r), so with gcd(6, r) != 1 no k can give a
+    # class coprime to S, and the modulus is skipped before any search
+    for r in (2, 6):
+        out = search_records([6], target=1, r=r)
+        assert out.checked == 0 and out.hits == () and not out.exhausted

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resdiv.polynomials import Poly
+from resdiv.polynomials import Poly, _sqrt_rational
 from resdiv.oracle import oracle_poly
 from resdiv.remseq import build_chain, build_instance
 from resdiv.rings import RING_Z, RING_ZX, QuadInt, exact_div, int_sqrt, quad_ring, reduce_mod
@@ -23,12 +24,12 @@ from resdiv.solver import (
     FinalRow,
     RowSystem,
     SolutionPair,
-    _scaled_point,
-    _squares_at_points,
+    _fold,
     candidate_radius,
     enumerate_residues,
     integer_shifts,
     poly_rhs_candidates,
+    shift_denominator,
     solve_system,
     trivial_divisor_check,
 )
@@ -106,8 +107,9 @@ def test_enumerate_residues_rejects_other_rings():
 
 # --- polynomial candidate shifts ----------------------------------------------
 
-def _poly_gammas(shifts, c, inst):
-    return [c + lam * inst.S for lam in shifts]
+def _poly_gammas(shifts, a, b, c, inst):
+    m = shift_denominator(a, b, inst)
+    return [c + Fraction(n, m) * inst.S for n in shifts]
 
 
 def test_poly_rhs_requires_poly_instance():
@@ -123,7 +125,7 @@ def test_poly_rhs_contains_reduced_c_and_stays_in_class():
     for k in range(1, chain.t):
         c, a, b = chain.c[k], chain.a[k], chain.b[k]
         shifts = poly_rhs_candidates(a, b, inst)
-        cands = _poly_gammas(shifts, c, inst)
+        cands = _poly_gammas(shifts, a, b, c, inst)
         assert shifts[0] == 0 and cands[0] == c
         assert len(set(map(str, cands))) == len(cands)
         # in the order the search has always visited the gammas in
@@ -149,11 +151,13 @@ def test_poly_rhs_order_matches_gamma_order():
         chain = build_chain(inst)
         for k in range(1, chain.t + 1):
             shifts = poly_rhs_candidates(chain.a[k], chain.b[k], inst)
-            cands = _poly_gammas(shifts, chain.c[k], inst)
+            cands = _poly_gammas(shifts, chain.a[k], chain.b[k], chain.c[k], inst)
             assert cands == sorted(cands, key=lambda g: (g.degree if g else -1, g.coeffs))
             assert len(set(cands)) == len(cands)
     chain = build_chain(insts[0])
-    assert poly_rhs_candidates(chain.a[1], chain.b[1], insts[0]) == [
+    a, b = chain.a[1], chain.b[1]
+    m = shift_denominator(a, b, insts[0])
+    assert [Fraction(n, m) for n in poly_rhs_candidates(a, b, insts[0])] == [
         0, Fraction(1, 2), Fraction(-1, 2)]
 
 
@@ -180,12 +184,48 @@ def test_poly_rhs_covers_planted_row():
         for k in range(chain.t + 1):
             gamma = chain.a[k] * f + chain.b[k] * g
             shifts = poly_rhs_candidates(chain.a[k], chain.b[k], inst)
-            if gamma in _poly_gammas(shifts, chain.c[k], inst):
+            if gamma in _poly_gammas(shifts, chain.a[k], chain.b[k], chain.c[k], inst):
                 found = True
                 break
         assert found
         hits += 1
     assert hits >= 25  # the zero-coordinate plants are the only skips
+
+
+def _fraction_rhs_candidates(a, b, inst):
+    # the shifts as rationals lam, each reduced, sorted by lam*sign(s_k):
+    # the formulas of poly_rhs_candidates' docstring, computed in Fractions
+    shifts = set()
+    l_s = inst.S.lead
+    q = inst.N.lead // (l_s * l_s)
+    for d_l in inst.lead_list:
+        if q % d_l:
+            continue
+        for num in (a.lead * d_l + b.lead * (q // d_l), a.lead * d_l, b.lead * (q // d_l)):
+            if num:
+                shifts.add(Fraction(num) / l_s)
+    sign = 1 if next(v for v in inst.S.coeffs if v) > 0 else -1
+    return [0] + sorted(shifts, key=lambda lam: lam * sign)
+
+
+def test_poly_rhs_integer_shifts_match_fraction_formula(poly_corpus):
+    # n/m of every row's output is the Fraction reference, in the same
+    # order, on the criterion-4 Z[x] corpus, whose moduli include negative
+    # leads (so m < 0) and whose rows include rational leads (so m is more
+    # than lead(S))
+    neg_lead = rational_lead = rows = 0
+    for inst, _ in poly_corpus:
+        neg_lead += inst.S.lead < 0
+        chain = build_chain(inst)
+        for k in range(1, chain.t + 1):
+            a, b = chain.a[k], chain.b[k]
+            m = shift_denominator(a, b, inst)
+            got = poly_rhs_candidates(a, b, inst)
+            assert all(isinstance(n, int) for n in got)
+            assert [Fraction(n, m) for n in got] == _fraction_rhs_candidates(a, b, inst)
+            rational_lead += abs(m) != abs(inst.S.lead)
+            rows += 1
+    assert neg_lead >= 40 and 500 <= rational_lead < rows, (neg_lead, rational_lead, rows)
 
 
 # --- the exact solver -----------------------------------------------------------
@@ -297,7 +337,7 @@ def test_row_discriminant_matches_per_gamma():
             E, F, G = row.coeffs()
             shifts = [0, rand_shift(), rand_shift()]
             if ring.is_poly:
-                shifts += poly_rhs_candidates(a, b, inst)[1:3]
+                shifts += [Fraction(n, row.m) for n in poly_rhs_candidates(a, b, inst)[1:3]]
             else:
                 shifts += [rand_shift(), rand_shift()]
             lam_p = exact_div(a * x + b * y - c, S, ring)
@@ -313,34 +353,59 @@ def test_row_discriminant_matches_per_gamma():
                 assert row.disc(gamma) == want
                 assert row.solve(gamma) == solve_system(a, b, gamma, inst)
                 if ring.is_int:
-                    root = row.shift_root(lam)
-                    assert root == (int_sqrt(want) if want >= 0 else None)
-                    if root is not None:
-                        assert row.solve(gamma, root) == row.solve(gamma)
+                    square = want >= 0 and int_sqrt(want) is not None
+                    assert row.keep([lam]) == ([lam] if square else [])
     rings = {"z", "zi", "zx"} | {quad_ring(d).name for d in GENERAL_DS}
     assert set(planted) == rings
     assert min(planted.values()) >= 4, planted
 
 
-# --- the Z[x] evaluation prefilter ------------------------------------------------
+# --- the shift tests on scalar images ----------------------------------------------
 
 _fractions = st.fractions(min_value=-60, max_value=60, max_denominator=12)
 
 
+def _row_with_images(folded):
+    # a RowSystem with the given folded images; keep() reads nothing else
+    row = object.__new__(RowSystem)
+    row.__dict__["_folded"] = folded
+    return row
+
+
+@settings(max_examples=400)
+@given(E=_fractions, F=_fractions, G=_fractions, h=_fractions, square=st.booleans(),
+       n=st.integers(-200, 200), m=st.integers(-30, 30).filter(bool))
+def test_folded_test_is_rational_squareness(E, F, G, h, square, n, m):
+    # RowSystem.keep on one image folded from (E, F, G) keeps n exactly
+    # when D(n/m) = E*(n/m)^2 + F*(n/m) + G is a rational square; square
+    # makes D(n/m) = h^2, so 0 (h = 0) and squares are drawn often, and m
+    # takes both signs
+    lam = Fraction(n, m)
+    if square:
+        G = h * h - E * lam * lam - F * lam
+    row = _row_with_images([_fold(E, F, G, m)])
+    want = _sqrt_rational(E * lam * lam + F * lam + G) is not None
+    assert row.keep([n]) == ([n] if want else [])
+    if square:
+        assert want
+
+
 @settings(max_examples=300)
 @given(h=st.lists(_fractions, max_size=6), e=st.lists(_fractions, max_size=5),
-       f=st.lists(_fractions, max_size=5), lam=_fractions,
+       f=st.lists(_fractions, max_size=5), n=st.integers(-200, 200),
+       m=st.integers(-12, 12).filter(bool),
        zero_at=st.sampled_from((None,) + _EVAL_POINTS))
-def test_prefilter_passes_every_square(h, e, f, lam, zero_at):
-    # D(lam) = h^2 in Q[x], written as E*lam^2 + F*lam + G for arbitrary E, F;
-    # zero_at makes h, and so D, vanish at one of the evaluation points
+def test_prefilter_passes_every_square(h, e, f, n, m, zero_at):
+    # D(n/m) = h^2 in Q[x], written as E*lam^2 + F*lam + G for arbitrary E,
+    # F: the folded test passes at every evaluation point; zero_at makes h,
+    # and so D, vanish at one of them
     hp = Poly(h)
     if zero_at is not None:
         hp = hp * Poly([-zero_at, 1])
-    E, F = Poly(e), Poly(f)
+    E, F, lam = Poly(e), Poly(f), Fraction(n, m)
     G = hp * hp - E * lam * lam - F * lam
-    points = [_scaled_point(E(x0), F(x0), G(x0)) for x0 in _EVAL_POINTS]
-    assert _squares_at_points(points, lam)
+    row = _row_with_images([_fold(E(x0), F(x0), G(x0), m) for x0 in _EVAL_POINTS])
+    assert row.keep([n]) == [n]
 
 
 def _expanded_efg(a, b, c, inst):
@@ -361,18 +426,20 @@ def _poly_rows(inst):
 
 
 def test_point_scalars_match_expanded_polynomials(poly_corpus):
-    # the scalars from the row's inputs at each x0 are the values there of
-    # E, F and G expanded in Q[x]
+    # the folded scalars from the row's inputs at each x0 are L^2 times
+    # the values there of E, F*m and G*m^2, with E, F and G expanded in
+    # Q[x] and L the lcm of the denominators of E(x0), F(x0) and G(x0)
     rows = 0
     for inst, _ in poly_corpus:
         for a, b, c in _poly_rows(inst):
             E, F, G = _expanded_efg(a, b, c, inst)
-            points = RowSystem(a, b, c, inst)._points
-            assert len(points) == len(_EVAL_POINTS)
-            for x0, (e, f, g, den) in zip(_EVAL_POINTS, points):
-                assert den > 0
-                assert (Fraction(e, den), Fraction(f, den), Fraction(g, den)) == \
-                    (E(x0), F(x0), G(x0))
+            row = RowSystem(a, b, c, inst)
+            m = row.m
+            assert len(row._folded) == len(_EVAL_POINTS)
+            for x0, folded in zip(_EVAL_POINTS, row._folded):
+                den = math.lcm(*(Fraction(p(x0)).denominator for p in (E, F, G)))
+                assert folded == tuple(v * den * den
+                                       for v in (E(x0), F(x0) * m, G(x0) * m * m))
             rows += 1
     assert rows >= 400
 
@@ -402,19 +469,21 @@ def test_prefilter_keeps_every_solution_shift(poly_corpus):
         for a, b, c in _poly_rows(inst):
             row = RowSystem(a, b, c, inst)
             shifts = poly_rhs_candidates(a, b, inst)
-            passed = [lam for lam in shifts if row.square_at_points(lam)]
-            for lam in shifts:
+            passed = row.keep(shifts)
+            for s_n in shifts:
                 shifts_seen += 1
-                if lam not in passed:
+                if s_n not in passed:
                     rejected += 1
                     if n < 50 or rejected % 100 == 1:
-                        assert solve_system(a, b, c + lam * inst.S, inst) == []
+                        gamma = c + Fraction(s_n, row.m) * inst.S
+                        assert solve_system(a, b, gamma, inst) == []
             for pair in pairs:
                 gamma = a * pair.x + b * pair.y
                 lam = exact_div(gamma - c, inst.S, RING_ZX)
-                if lam.degree <= 0 and lam.coeff(0) in shifts:
+                s_n = lam.coeff(0) * row.m
+                if lam.degree <= 0 and s_n in shifts:
                     assert pair in solve_system(a, b, gamma, inst)
-                    assert lam.coeff(0) in passed
+                    assert s_n in passed
                     kept += 1
     assert kept >= 200
     assert 0 < rejected < shifts_seen
@@ -425,8 +494,8 @@ def test_prefilter_keeps_every_solution_shift(poly_corpus):
 def test_int_shift_tests_keep_every_solution_shift(z_corpus):
     # every shift of every Z row, quadratic and final, over the 38 family
     # instances and the criterion-4 Z corpus: a shift the exact test rejects
-    # gives no pair in the reference solver (no row, no root), and a shift
-    # it keeps solves to the reference's pairs
+    # gives no pair in the reference solver (no row), and a shift it keeps
+    # solves to the reference's pairs
     shifts = integer_shifts(candidate_radius(0))
     counts = {"quad": [0, 0], "final": [0, 0]}
     cases = family_triples() + [c[:3] for c in z_corpus]
@@ -435,18 +504,13 @@ def test_int_shift_tests_keep_every_solution_shift(z_corpus):
         for k in range(1, chain.t + 1):
             a, b, c = chain.a[k], chain.b[k], chain.c[k]
             row = RowSystem(a, b, c, inst) if k < chain.t else None
-            final = FinalRow(b, inst) if row is None else None
+            test = row or FinalRow(a, b, c, inst)
             kind = "quad" if row else "final"
             for lam in shifts:
                 gamma = c + lam * inst.S
                 want = solve_system(a, b, gamma, inst)
-                if row:
-                    root = row.shift_root(lam)
-                    passed = root is not None
-                    got = solve_system(a, b, gamma, inst, row, root) if passed else []
-                else:
-                    passed = final.passes(lam)
-                    got = solve_system(a, b, gamma, inst) if passed else []
+                passed = test.keep([lam]) == [lam]
+                got = solve_system(a, b, gamma, inst, row) if passed else []
                 assert got == want
                 counts[kind][passed] += 1
     for kind, (rejected, passed) in counts.items():
@@ -460,19 +524,93 @@ def test_poly_final_row_keeps_every_solution_shift(poly_corpus):
     seen = rejected = kept = nonmonic = 0
     for inst, _ in poly_corpus:
         chain = build_chain(inst)
-        b = chain.b[chain.t]
-        final = FinalRow(b, inst)
+        a, b, c = chain.a[chain.t], chain.b[chain.t], chain.c[chain.t]
+        final = FinalRow(a, b, c, inst)
         nonmonic += inst.S.lead not in (1, -1)
-        for lam in poly_rhs_candidates(chain.a[chain.t], b, inst):
+        for n in poly_rhs_candidates(a, b, inst):
             seen += 1
-            pairs = solve_system(chain.a[chain.t], b, lam * inst.S, inst)
-            if final.passes(lam):
+            pairs = solve_system(a, b, Fraction(n, final.m) * inst.S, inst)
+            if final.keep([n]):
                 kept += bool(pairs)
             else:
                 assert pairs == []
                 rejected += 1
     assert kept >= 80 and nonmonic >= 50
     assert 0 < rejected < seen
+
+
+# --- the integer shift tests against the rational ones -----------------------------
+
+def _rational_shift_test(a, b, c, inst, final):
+    """The reference for keep(): the shift test on a rational lam, with no
+    shift denominator and nothing folded.  Quadratic row: the discriminant A1^2 - 4*A2*A0,
+    built from gamma = c + lam*S, is a square in Z, resp. a rational
+    square at every evaluation point in Z[x] (built there from the values
+    of S, r, r', N, a, b and gamma, which evaluation respects).  Final
+    row: y = lam/u, and the cofactor S*y + r' is an integer dividing N,
+    in Z and at every evaluation point in Z[x]."""
+    S = inst.S
+    if inst.ring.is_poly:
+        def images(p):
+            return [p(x0) for x0 in _EVAL_POINTS]
+        inv_u = Fraction(S.lead) / b.lead
+    else:
+        def images(v):
+            return [v]
+        inv_u = b // S
+    if not final:
+        rows = list(zip(*map(images, (S, inst.r, inst.rPrime, inst.N, a, b, c))))
+
+        def square(lam):
+            for s_x, r_x, rp_x, n_x, a_x, b_x, c_x in rows:
+                gamma = c_x + lam * s_x
+                a2 = -(s_x * s_x * a_x)
+                a1 = s_x * s_x * gamma + s_x * rp_x * b_x - s_x * r_x * a_x
+                a0 = s_x * r_x * gamma + b_x * (r_x * rp_x - n_x)
+                if _sqrt_rational(a1 * a1 - 4 * a2 * a0) is None:
+                    return False
+            return True
+        return square
+    points = list(zip(images(S), images(inst.rPrime), images(inst.N)))
+
+    def passes(lam):
+        y = lam * inv_u
+        for s_x, rp_x, n_x in points:
+            cof = s_x * y + rp_x
+            if cof.denominator != 1 or (n_x % cof if cof else n_x):
+                return False
+        return True
+    return passes
+
+
+def test_integer_shift_tests_match_rational_tests(z_corpus, poly_corpus):
+    # on every row of the 38 families and the criterion-4 Z and Z[x]
+    # corpora, keep() on the integer shifts n keeps exactly the n whose
+    # lam = n/m passes the rational test
+    cases = family_triples() + [c[:3] for c in z_corpus]
+    insts = [build_instance(RING_Z, n, s, r) for n, s, r in cases]
+    insts += [inst for inst, _ in poly_corpus]
+    counts = {}
+    for inst in insts:
+        poly = inst.ring.is_poly
+        chain = build_chain(inst)
+        for k in range(1, chain.t + 1):
+            a, b, c = chain.a[k], chain.b[k], chain.c[k]
+            final = k == chain.t
+            test = (FinalRow if final else RowSystem)(a, b, c, inst)
+            if poly:
+                shifts = poly_rhs_candidates(a, b, inst)
+            else:
+                shifts = integer_shifts(candidate_radius(0))
+            ref = _rational_shift_test(a, b, c, inst, final)
+            want = [n for n in shifts if ref(Fraction(n, test.m) if poly else n)]
+            assert test.keep(shifts) == want
+            tally = counts.setdefault((inst.ring.name, final), [0, 0])
+            tally[0] += len(shifts) - len(want)
+            tally[1] += len(want)
+    assert len(counts) == 4
+    for key, (rejected, kept) in counts.items():
+        assert rejected > 0 and kept > 0, (key, counts)
 
 
 # --- the two sweep-invisible solutions ------------------------------------------
