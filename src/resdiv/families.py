@@ -2,8 +2,9 @@
 
 Two parametric families and one fixed record instance, each packaged as an
 (N, S, r) triple with S^3 > N, plus a verifier that runs the search and
-cross-checks the result against the trial-division oracle, and a small
-enumerative hunt for further record instances.
+cross-checks the result against oracle_rational (every divisor of |N|
+from its factorization), and a small enumerative hunt for further record
+instances.
 """
 
 from __future__ import annotations
@@ -76,7 +77,9 @@ class FamilyReport:
 
 def verify_family(fi: FamilyInstance) -> FamilyReport:
     """Run the divisor search on a family instance and check the promised
-    count; cross-check against trial division when N is in oracle range.
+    count; cross-check against oracle_rational when |N| is in its range
+    (|N| <= RATIONAL_LIMIT = 10^15), where factoring |N| costs at most a
+    few ms.
     A mismatch comes back as ok=False, never as an exception."""
     try:
         rep = divisors_rational(fi.N, fi.S, fi.r)
@@ -116,7 +119,7 @@ def search_records(
     max_checks.  A modulus with gcd(S, r) != 1 is skipped whole, since
     gcd(S, k*S + r) = gcd(S, r) then rules out every k, and so is each N
     sharing a factor with S.  Hits inside oracle range are
-    re-verified by trial division (a disagreement raises, since it would
+    re-verified by oracle_rational (a disagreement raises, since it would
     mean the search itself is broken).  exhausted reports whether the
     budget ran out before the enumeration finished.
     """

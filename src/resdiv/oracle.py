@@ -1,14 +1,18 @@
 """Independent brute-force oracles for cross-checking search results.
 
 Everything here recomputes divisibility and congruence from first
-principles: plain integer tuples for the quadratic rings (doubled
-coordinates, (u + v*sqrt(d))/2), Fraction-coefficient lists for Z[x], and
-numpy for the big scans.  None of it calls the production ring arithmetic,
-so a bug there cannot hide from a comparison against these.
+principles: the integer factorization of |N| for Z, plain integer tuples
+for the quadratic rings (doubled coordinates, (u + v*sqrt(d))/2),
+Fraction-coefficient lists for Z[x], and numpy for the big scans.  None of
+it calls the production ring arithmetic, so a bug there cannot hide from a
+comparison against these.  The integer factorizer (Miller-Rabin and
+Pollard's rho, remseq._prime_factors) is shared only with the Z[x]
+leading-coefficient lists; the Z search never factors.
 
 Scan strategies:
 
-  oracle_rational           chunked trial division up to sqrt|N|
+  oracle_rational           every divisor of |N| from its factorization,
+                            O(|N|^1/4) work; filtered by residue mod S
   oracle_quadratic          full lattice scan of x with
                             normsq(x) <= factor^2 * normsq(S); complete for
                             gate-satisfying instances whenever
@@ -31,37 +35,33 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .remseq import _positive_divisors
 from .rings import QuadInt
 
 GRID_LIMIT = 10**8
 RATIONAL_LIMIT = 10**15
-_CHUNK = 2**18
 
 
 class OracleResult(NamedTuple):
     """Ground-truth divisor list plus the scan strategy that produced it."""
 
     divisors: tuple
-    method: str  # "trial-division", "x-scan", or "subset-product"
+    method: str  # "factorization", "x-scan", or "subset-product"
 
 
 def oracle_rational(N: int, S: int, r: int) -> OracleResult:
-    """Every integer d (both signs) with d | N and d = r (mod S)."""
+    """Every integer d (both signs) with d | N and d = r (mod S), read off
+    the factorization of |N|: d = q or d = -q for a positive divisor q,
+    and -q = r (mod S) exactly when q = -r (mod S)."""
     n = abs(int(N))
     if n == 0:
         raise ValueError("N must be nonzero")
     if n > RATIONAL_LIMIT:
         raise ValueError(f"|N| > {RATIONAL_LIMIT} is out of oracle range")
-    out = set()
-    limit = isqrt(n)
-    for start in range(1, limit + 1, _CHUNK):
-        arr = np.arange(start, min(start + _CHUNK, limit + 1), dtype=np.int64)
-        hits = arr[n % arr == 0]
-        for a in hits.tolist():
-            for dv in (a, n // a, -a, -(n // a)):
-                if (dv - r) % S == 0:
-                    out.add(dv)
-    return OracleResult(tuple(sorted(out)), "trial-division")
+    pos = _positive_divisors(n)
+    plus, minus = r % S, -r % S
+    hits = [q for q in pos if q % S == plus] + [-q for q in pos if q % S == minus]
+    return OracleResult(tuple(sorted(hits)), "factorization")
 
 
 # ---------------------------------------------------------------------------

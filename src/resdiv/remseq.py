@@ -130,12 +130,20 @@ def _prime_factors(n: int) -> list[int]:
     return _prime_factors(g) + _prime_factors(n // g)
 
 
-def _signed_divisors(n: int) -> tuple[int, ...]:
-    """All divisors of |n|, both signs, ascending.
+def _positive_divisors(n: int) -> list[int]:
+    """Every positive divisor of 1 <= n < 2^64, in no particular order.
 
-    |n| < 2^64 is factored by Miller-Rabin and Pollard's rho, so the cost
-    grows with the fourth root of |n| at worst, not its square root.
+    n is factored by Miller-Rabin and Pollard's rho, so the cost grows with
+    the fourth root of n at worst, not its square root.
     """
+    pos = [1]
+    for p, e in Counter(_prime_factors(n)).items():
+        pos = [q * pk for pk in [p**i for i in range(e + 1)] for q in pos]
+    return pos
+
+
+def _signed_divisors(n: int) -> tuple[int, ...]:
+    """All divisors of |n| < 2^64, both signs, ascending."""
     n = abs(n)
     if n >= 1 << 64:
         raise InvalidInstanceError(
@@ -143,10 +151,7 @@ def _signed_divisors(n: int) -> tuple[int, ...]:
         )
     if n == 0:
         return ()
-    pos = [1]
-    for p, e in Counter(_prime_factors(n)).items():
-        pos = [q * p**i for q in pos for i in range(e + 1)]
-    pos.sort()
+    pos = sorted(_positive_divisors(n))
     return tuple(sorted(-p for p in pos) + pos)
 
 

@@ -9,9 +9,12 @@ tests can assert recovery directly.
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import random
+import sys
 from math import isqrt
+from pathlib import Path
 
 import pytest
 import sympy
@@ -160,6 +163,18 @@ def family_triples() -> list[tuple[int, int, int]]:
     fams = [standalone_instance()] + [cohen_instance(lv) for lv in range(3, 21)]
     fams += [seven_signed_instance(base) for base in range(2, 21)]
     return [(fi.N, fi.S, fi.r) for fi in fams]
+
+
+def perfbench_module(name: str):
+    """perfbench/<name>.py, loaded by path once (perfbench is a directory
+    of scripts, not a package)."""
+    key = f"perfbench_{name}"
+    if key not in sys.modules:
+        path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+        spec = importlib.util.spec_from_file_location(key, path)
+        sys.modules[key] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[key])
+    return sys.modules[key]
 
 
 def sympy_norm_factors(n: int) -> dict[int, int]:

@@ -11,7 +11,7 @@ from resdiv.families import (
     standalone_instance,
     verify_family,
 )
-from resdiv.oracle import oracle_rational
+from resdiv.oracle import RATIONAL_LIMIT, oracle_rational
 
 
 def test_cohen_level_three():
@@ -75,6 +75,19 @@ def test_standalone_record():
     assert rep.ok and rep.oracle_checked
     assert rep.positive == (1, 211575, 1798380, 42843736,
                             492121125, 380492248500)
+
+
+def test_verify_family_at_the_oracle_limit():
+    # cohen 36 and seven 45 are the largest members with |N| <= 10^15, the
+    # oracle's limit; the next members are verified without the oracle
+    for fi in (cohen_instance(36), seven_signed_instance(45)):
+        assert abs(fi.N) <= RATIONAL_LIMIT
+        rep = verify_family(fi)
+        assert rep.ok and rep.oracle_checked
+    for fi in (cohen_instance(37), seven_signed_instance(46)):
+        assert abs(fi.N) > RATIONAL_LIMIT
+        rep = verify_family(fi)
+        assert rep.ok and not rep.oracle_checked
 
 
 def test_alpha_property():

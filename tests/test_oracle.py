@@ -1,9 +1,22 @@
 import random
+from math import isqrt
 
+import numpy as np
 import pytest
-from conftest import plant_poly, plant_quad, plant_rational, sympy_norm_factors, sympy_poly_factors
+import sympy
+from conftest import (
+    family_triples,
+    perfbench_module,
+    plant_poly,
+    plant_quad,
+    plant_rational,
+    sympy_norm_factors,
+    sympy_poly_factors,
+)
 
+from resdiv import families
 from resdiv.oracle import (
+    RATIONAL_LIMIT,
     OracleResult,
     gaussian_prime_above,
     oracle_poly,
@@ -19,7 +32,7 @@ from resdiv.rings import RING_Z, RING_ZI, RING_ZX, QuadInt, exact_div, quad_ring
 def test_oracle_rational_example():
     got = oracle_rational(12, 5, 1)
     assert got.divisors == (-4, 1, 6)
-    assert got.method == "trial-division"
+    assert got.method == "factorization"
 
 
 def test_oracle_rational_bounds():
@@ -42,18 +55,85 @@ def test_oracle_rational_vs_dumb_loop():
         assert oracle_rational(n, s, r).divisors == expected
 
 
-@pytest.mark.parametrize("chunk", [1, 3, 4, 7])
-def test_oracle_rational_chunk_boundaries(monkeypatch, chunk):
-    # chunks start at 1, 1 + chunk, ...; 720 and 3600 have divisors on both
-    # sides of many chunk edges, and 3600 = 60^2 one at the scan limit itself
-    monkeypatch.setattr("resdiv.oracle._CHUNK", chunk)
-    for n in (1, 2, 97, 720, -720, 3600, 2 * 3 * 5 * 7 * 11):
-        for s, r in ((7, 1), (13, 5), (2, 1), (10**9, 1)):
-            expected = tuple(sorted(
-                dv for dv in range(-abs(n), abs(n) + 1)
-                if dv and n % dv == 0 and (dv - r) % s == 0
-            ))
-            assert oracle_rational(n, s, r).divisors == expected
+def _trial_division(N, S, r, chunk):
+    """The chunked numpy trial division up to sqrt|N| that oracle_rational
+    ran before it factored |N|, kept here as the reference."""
+    n = abs(int(N))
+    out = set()
+    limit = isqrt(n)
+    for start in range(1, limit + 1, chunk):
+        arr = np.arange(start, min(start + chunk, limit + 1), dtype=np.int64)
+        hits = arr[n % arr == 0]
+        for a in hits.tolist():
+            for dv in (a, n // a, -a, -(n // a)):
+                if (dv - r) % S == 0:
+                    out.add(dv)
+    return tuple(sorted(out))
+
+
+def _hunt_triples(monkeypatch):
+    """(N, S, r) of every candidate that the seed-501 z-records benchmark
+    hunts search: the first full block's residue per modulus S = 8..31,
+    40 candidates each, recorded as search_records runs them."""
+    stream = perfbench_module("workloads").blocks("z-records", 501)
+    next(stream)  # the standalone record alone
+    hunts = sorted(item.hunt for item in next(stream) if item.kind == "hunt")
+    assert [s for s, _ in hunts] == list(range(8, 32))
+    seen = []
+    search = families.divisors_rational
+
+    def record(n, s, r):
+        seen.append((n, s, r))
+        return search(n, s, r)
+
+    monkeypatch.setattr(families, "divisors_rational", record)
+    for s, r in hunts:
+        out = families.search_records([s], target=4, r=r, max_checks=40)
+        assert out.checked == 40
+    assert len(seen) == 24 * 40
+    return seen
+
+
+def _semiprime_triples():
+    """10 products p*q <= 10^15 of primes in [3*10^7, 3.17*10^7], the
+    slowest shape for Pollard's rho under the limit."""
+    rng = random.Random(44)
+    out = []
+    while len(out) < 10:
+        p = sympy.nextprime(rng.randrange(3 * 10**7, 31_690_000))
+        q = sympy.nextprime(rng.randrange(3 * 10**7, 31_690_000))
+        if p * q > RATIONAL_LIMIT:
+            continue
+        # both signs hit: p = 1 (mod p - 1); -1 and p = -1 (mod p + 1)
+        s, r = (p - 1, 1) if len(out) % 2 else (p + 1, -1)
+        out.append((p * q, s, r))
+    return out
+
+
+def _edge_triples():
+    p = sympy.prevprime(isqrt(RATIONAL_LIMIT))
+    out = [(n, s, r) for n in (p * p, 2**49, 3**31, RATIONAL_LIMIT, 1, -1)
+           for s, r in ((7, 1), (p - 1, 1), (10**9, -1))]
+    # the old chunk edges: divisors on both sides of many chunk boundaries,
+    # and 3600 = 60^2 one at the scan limit itself
+    out += [(n, s, r) for n in (720, -720, 3600, 2310)
+            for s, rs in ((10**9, (1, -1)), (7, range(7))) for r in rs]
+    return out
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 2**18])
+def test_oracle_rational_matches_trial_division(monkeypatch, chunk):
+    triples = family_triples() + _semiprime_triples() + _edge_triples()
+    triples += _hunt_triples(monkeypatch)
+    # small chunks scan one numpy call per chunk: keep them to small |N|
+    small = [t for t in triples if isqrt(abs(t[0])) <= 5000 * chunk]
+    assert len(small) >= 1000
+    hits = 0
+    for n, s, r in small:
+        got = oracle_rational(n, s, r).divisors
+        assert got == _trial_division(n, s, r, chunk), (n, s, r)
+        hits += len(got)
+    assert hits >= len(small)
 
 
 def test_gaussian_prime_above():

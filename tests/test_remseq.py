@@ -267,12 +267,30 @@ def _trial_divisors(n):
 
 
 def test_signed_divisors_matches_trial_division():
+    # the factorizer behind every Z ground truth (oracle_rational) as well
+    # as the Z[x] lead lists
     rng = random.Random(11)
-    ns = [1, 2, 4, 36, 720720, 9999991, 2**23, 3**14]
+    ns = [720720, 9999991, 2**23, 3**14]
     ns += [rng.randrange(1, 10**7) for _ in range(300)]
     for n in ns:
         assert _signed_divisors(n) == _trial_divisors(n)
         assert _signed_divisors(-n) == _signed_divisors(n)
+    # every n up to 30000, against a divisor sieve
+    top = 30000
+    sieve = [[] for _ in range(top + 1)]
+    for dv in range(1, top + 1):
+        for m in range(dv, top + 1, dv):
+            sieve[m].append(dv)
+    for n in range(1, top + 1):
+        assert _signed_divisors(n) == tuple([-q for q in reversed(sieve[n])] + sieve[n])
+    # every p^k <= 10^15 for the two smallest primes and the largest prime
+    # whose square is at most 10^15
+    for p in (2, 3, 31622743):
+        k = 0
+        while p**k <= 10**15:
+            pos = [p**i for i in range(k + 1)]
+            assert _signed_divisors(p**k) == tuple([-q for q in reversed(pos)] + pos)
+            k += 1
 
 
 def test_signed_divisors_near_2_63():
