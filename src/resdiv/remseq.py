@@ -14,7 +14,8 @@ unit, and rows 1..t-1 have a_k, b_k != 0 (proved in build_chain).  Every
 solution pair of (Sx+r)(Sy+r') = N satisfies a_k*x + b_k*y = c_k (mod S)
 along the whole chain, which is what the candidate sweep exploits.
 
-For Z[x] instances the chain lives in Q[x]; exact rationals throughout.
+For Z[x] instances the chain lives in Q[x]: exact rationals, held as
+integer numerators over one denominator (polynomials.Poly).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from math import gcd
+from operator import index
 
 from .base import InvalidInstanceError
 from .polynomials import Poly
@@ -216,7 +218,10 @@ def build_instance(
     leads: tuple[int, ...] | None = None
     if ring.is_poly:
         if lead_list is not None:
-            leads = tuple(sorted(set(int(v) for v in lead_list)))
+            try:
+                leads = tuple(sorted(set(map(index, lead_list))))
+            except TypeError:
+                raise InvalidInstanceError("lead_list entries must be integers") from None
             if any(v == 0 for v in leads):
                 raise InvalidInstanceError("lead_list entries must be nonzero")
         else:

@@ -13,6 +13,7 @@ import importlib.util
 import math
 import random
 import sys
+from fractions import Fraction
 from math import isqrt
 from pathlib import Path
 
@@ -155,6 +156,19 @@ def plant_rational(rng: random.Random, s_lo: int = 50, s_hi: int = 5000):
         if math.gcd(n, s) != 1 or math.gcd(r, s) != 1:
             continue
         return n, s, r, dv
+
+
+def sqrt_rational(c):
+    """Exact square root of a nonnegative rational (int or Fraction), or
+    None: the reference for the package's integer square tests."""
+    if c < 0:
+        return None
+    c = Fraction(c)
+    sn, sd = isqrt(c.numerator), isqrt(c.denominator)
+    if sn * sn == c.numerator and sd * sd == c.denominator:
+        root = Fraction(sn, sd)
+        return root.numerator if root.denominator == 1 else root
+    return None
 
 
 def family_triples() -> list[tuple[int, int, int]]:

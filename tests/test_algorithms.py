@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import family_triples, plant_poly, plant_quad, plant_rational
+from conftest import family_triples, plant_poly, plant_quad, plant_rational, sqrt_rational
 
 from resdiv import fastscan
 from resdiv.algorithms import (
@@ -13,7 +13,7 @@ from resdiv.algorithms import (
     find_divisors,
 )
 from resdiv.oracle import oracle_rational
-from resdiv.polynomials import Poly, _sqrt_rational
+from resdiv.polynomials import Poly
 from resdiv.remseq import build_chain, build_instance
 from resdiv.rings import RING_Z, RING_ZI, QuadInt, exact_div, quad_ring
 from resdiv.solver import (
@@ -136,7 +136,7 @@ def _reference_search(inst):
                 a0 = S * inst.r * gamma + b * (inst.r * inst.rPrime - inst.N)
                 disc = a1 * a1 - 4 * a2 * a0
                 images = [disc(x0) for x0 in _EVAL_POINTS] if ring.is_poly else [disc]
-                if all(_sqrt_rational(v) is not None for v in images):
+                if all(sqrt_rational(v) is not None for v in images):
                     stats["roots"] += 1
             for pair in solve_system(a, b, gamma, inst):
                 found.setdefault(S * pair.x + inst.r, (pair.x, pair.y, (i, j)))

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resdiv import polynomials
 from resdiv.base import MINUS_INFINITY
 from resdiv.polynomials import Poly, poly_div, poly_sqrt
 
@@ -25,8 +27,8 @@ def test_trailing_zeros_normalized():
 def test_degree_lead_monic():
     p = Poly([3, 0, 2])
     assert p.degree == 2 and p.lead == 2
-    assert not p.is_monic()
-    assert Poly([7, 1]).is_monic()
+    assert p.lead != 1
+    assert Poly([7, 1]).lead == 1
     assert Poly([1, Fraction(1, 2)]).is_integral() is False
 
 
@@ -35,27 +37,90 @@ def test_arithmetic_known_products():
     assert (x + 1) * (x - 1) == x**2 - 1
     assert (x + 1) ** 2 == Poly([1, 2, 1])
     assert (2 * x + 1) * (x + 1) == Poly([1, 3, 2])
-    assert x.shifted(3) == Poly.monomial(1, 4)
+    assert x * x**3 == Poly([0, 0, 0, 0, 1])
 
 
 _rationals = st.fractions(min_value=-40, max_value=40, max_denominator=15)
+_coeff_lists = st.one_of(st.lists(_rationals, max_size=7),
+                         st.lists(st.integers(-60, 60), max_size=7))
 
 
-@settings(max_examples=200)
-@given(st.lists(_rationals, max_size=7), st.lists(_rationals, max_size=7),
-       st.sampled_from((0, 1, -1, 2, 3, Fraction(-1, 2))))
-def test_rational_product_and_evaluation(ac, bc, x0):
+def _ref(cs):
+    """Fraction-per-coefficient reference: trailing zeros stripped."""
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _ref_div(a, b):
+    """Schoolbook long division of Fraction lists, b nonzero."""
+    rem, n = list(a), len(b) - 1
+    q = [Fraction(0)] * max(len(a) - n, 0)
+    for top in range(len(a) - 1, n - 1, -1):
+        f = rem[top] / b[-1]
+        q[top - n] = f
+        for j, c in enumerate(b):
+            rem[top - n + j] -= f * c
+    return _ref(q), _ref(rem)
+
+
+def _assert_canonical(p):
+    assert p.den > 0 and gcd(p.den, *p.nums) == 1
+    assert p.nums[-1] != 0 if p.nums else p.den == 1
+    assert p.coeffs == tuple(Fraction(v, p.den) for v in p.nums)
+    assert all(type(c) is int or c.denominator > 1 for c in p.coeffs)
+
+
+@settings(max_examples=300)
+@given(_coeff_lists, _coeff_lists, st.sampled_from((0, 1, -1, 2, 3, Fraction(-1, 2))))
+def test_arithmetic_matches_fraction_reference(ac, bc, x0):
     a, b = Poly(ac), Poly(bc)
-    # the coefficient-by-coefficient Fraction convolution is the reference
-    ref = [Fraction(0)] * max(len(ac) + len(bc) - 1, 0)
-    for i, ca in enumerate(ac):
-        for j, cb in enumerate(bc):
-            ref[i + j] += ca * cb
-    prod = a * b
-    assert prod == Poly(ref)
-    assert all(type(c) is int or c.denominator > 1 for c in prod.coeffs)
-    assert prod(x0) == a(x0) * b(x0)
-    assert (a + b)(x0) == a(x0) + b(x0)
+    ra, rb = _ref(ac), _ref(bc)
+    prod = [Fraction(0)] * max(len(ra) + len(rb) - 1, 0)
+    for i, ca in enumerate(ra):
+        for j, cb in enumerate(rb):
+            prod[i + j] += ca * cb
+    n = max(len(ra), len(rb))
+    pad_a, pad_b = ra + [0] * (n - len(ra)), rb + [0] * (n - len(rb))
+    results = [(a + b, [u + v for u, v in zip(pad_a, pad_b)]),
+               (a - b, [u - v for u, v in zip(pad_a, pad_b)]),
+               (a * b, prod)]
+    if rb:
+        results += zip(poly_div(a, b), _ref_div(ra, rb))
+    for p, want in results:
+        _assert_canonical(p)
+        assert list(p.coeffs) == _ref(want)
+    for p in (a, b, a + b, a * b):
+        assert p(x0) == sum(c * Fraction(x0) ** i for i, c in enumerate(p.coeffs))
+    assert poly_sqrt(a * a) in (a, -a)
+    # == and hash agree with coefficient equality, whatever the path
+    for p, other in ((a, b), (a, Poly(a.coeffs)), (a * b, b * a), (a - b, -(b - a))):
+        assert (p == other) == (p.coeffs == other.coeffs)
+        if p == other:
+            assert hash(p) == hash(other)
+
+
+class _NoFraction:
+    def __new__(cls, *args, **kwargs):
+        raise AssertionError("Fraction built inside polynomial arithmetic")
+
+
+def test_arithmetic_builds_no_fraction(monkeypatch):
+    """+, -, *, poly_div, poly_sqrt and == on rational polynomials run on
+    integers alone: with Fraction made unconstructible in the module they
+    still run, and agree with the results taken before."""
+    a = Poly([Fraction(1, 3), Fraction(-5, 2), 0, Fraction(7, 4)])
+    b = Poly([Fraction(-1, 5), Fraction(3, 2)])
+    c = Poly([2, -3, 6])
+    cases = (lambda: a + b, lambda: a - b, lambda: b - 1, lambda: -a,
+             lambda: a * b, lambda: 3 * a, lambda: a * c,
+             lambda: poly_div(a, b), lambda: poly_div(a, c), lambda: poly_div(c, b),
+             lambda: poly_sqrt(b * b), lambda: poly_sqrt(a), lambda: poly_sqrt(c * c),
+             lambda: a == b, lambda: a * b == b * a)
+    before = [f() for f in cases]
+    monkeypatch.setattr(polynomials, "Fraction", _NoFraction)
+    assert [f() for f in cases] == before
 
 
 def test_poly_div_examples():
@@ -69,6 +134,20 @@ def test_poly_div_examples():
     # (2x^2+3x+1) / (2x+1) -> q = x+1, r = 0
     q, r = poly_div(Poly([1, 3, 2]), Poly([1, 2]))
     assert q == Poly([1, 1]) and not r
+    # negative and non-unit leading coefficients, rational divisors
+    a = Poly([Fraction(1, 2), -4, 0, 3, Fraction(-2, 7)])
+    for b in (Poly([1, -3]), Poly([Fraction(-1, 5), Fraction(3, 2)]),
+              Poly.constant(-6), Poly.constant(Fraction(2, 3))):
+        q, r = poly_div(a, b)
+        assert (list(q.coeffs), list(r.coeffs)) == _ref_div(_ref(a.coeffs), _ref(b.coeffs))
+        assert q * b + r == a and r.degree < b.degree
+    # x^3 - 1 over -3x + 1: q = -(1/3)x^2 - (1/9)x - 1/27, r = -26/27
+    q, r = poly_div(Poly([-1, 0, 0, 1]), Poly([1, -3]))
+    assert q == Poly([Fraction(-1, 27), Fraction(-1, 9), Fraction(-1, 3)])
+    assert r == Fraction(-26, 27)
+    # dividend of lower degree than the divisor: q = 0, r = a
+    q, r = poly_div(Poly([Fraction(1, 2), 5]), Poly([1, 0, -3]))
+    assert not q and r == Poly([Fraction(1, 2), 5])
 
 
 def test_poly_div_zero_divisor():
@@ -117,14 +196,19 @@ def test_poly_sqrt_edge_shapes():
     assert poly_sqrt(Poly([0, 0, 0, 1])) is None
     # zero constant term: even power of x strips off
     p = Poly([2, 1])
-    assert poly_sqrt((p * p).shifted(2)) is not None
+    assert poly_sqrt(p * p * Poly([0, 0, 1])) == p * Poly.x()
     assert poly_sqrt(Poly([0, 1, 1])) is None  # x*(x+1) has an odd x-power
 
 
 def test_poly_sqrt_rational_coefficients():
-    p = Poly([Fraction(1, 2), 1])
-    got = poly_sqrt(p * p)
-    assert got in (p, -p)
+    # p = P/d is a square in Q[x] exactly when P*d is one in Z[x]
+    x = Poly.x()
+    for p in (Poly([Fraction(1, 2), 1]), x * Fraction(1, 2) + Fraction(1, 3),
+              (x + 1) * Fraction(1, 2)):
+        assert poly_sqrt(p * p) in (p, -p)
+    assert poly_sqrt(Poly([0, 0, 0, 0, Fraction(9, 4)])) == Poly([0, 0, Fraction(3, 2)])
+    for p in (2 * (x + 1) ** 2, Poly([0, 0, Fraction(3, 4)]), -((x + 1) ** 2), x**3):
+        assert poly_sqrt(p) is None
 
 
 @settings(max_examples=200)

@@ -1,7 +1,9 @@
 import math
 import random
+from fractions import Fraction
 from math import isqrt
 
+import numpy as np
 import pytest
 from conftest import GENERAL_DS, family_triples, plant_poly, plant_quad, plant_rational
 from hypothesis import assume, given, settings
@@ -47,8 +49,6 @@ def test_rejects_shared_factors():
 
 
 def test_rejects_non_integral_polynomials():
-    from fractions import Fraction
-
     half = Poly([Fraction(1, 2), 1])
     with pytest.raises(InvalidInstanceError):
         build_instance(RING_ZX, half, Poly([1, 0, 1]), Poly.constant(1))
@@ -99,6 +99,14 @@ def test_leading_coefficient_list():
     with pytest.raises(InvalidInstanceError):
         build_instance(RING_ZX, Poly([1, 1, 0, 0, 4]), Poly([1, 0, 1]),
                        Poly.constant(1), lead_list=[0, 1])
+    # entries are integers (numpy ints too), never truncated
+    inst = build_instance(RING_ZX, Poly([1, 1, 0, 0, 4]), Poly([1, 0, 1]),
+                          Poly.constant(1), lead_list=[np.int64(2), -1])
+    assert inst.lead_list == (-1, 2) and all(type(v) is int for v in inst.lead_list)
+    for bad in ([2.9], [Fraction(5, 2)], [1, "2"]):
+        with pytest.raises(InvalidInstanceError):
+            build_instance(RING_ZX, Poly([1, 1, 0, 0, 4]), Poly([1, 0, 1]),
+                           Poly.constant(1), lead_list=bad)
     assert build_instance(RING_Z, 273, 10, 1).lead_list is None
 
 

@@ -10,12 +10,13 @@ from conftest import (
     plant_quad,
     plant_rational,
     rand_quad_disk,
+    sqrt_rational,
     sympy_poly_factors,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resdiv.polynomials import Poly, _sqrt_rational
+from resdiv.polynomials import Poly
 from resdiv.oracle import oracle_poly
 from resdiv.remseq import build_chain, build_instance
 from resdiv.rings import RING_Z, RING_ZX, QuadInt, exact_div, int_sqrt, quad_ring, reduce_mod
@@ -384,7 +385,7 @@ def test_folded_test_is_rational_squareness(E, F, G, h, square, n, m):
     if square:
         G = h * h - E * lam * lam - F * lam
     row = _row_with_images([_fold(E, F, G, m)])
-    want = _sqrt_rational(E * lam * lam + F * lam + G) is not None
+    want = sqrt_rational(E * lam * lam + F * lam + G) is not None
     assert row.keep([n]) == ([n] if want else [])
     if square:
         assert want
@@ -567,7 +568,7 @@ def _rational_shift_test(a, b, c, inst, final):
                 a2 = -(s_x * s_x * a_x)
                 a1 = s_x * s_x * gamma + s_x * rp_x * b_x - s_x * r_x * a_x
                 a0 = s_x * r_x * gamma + b_x * (r_x * rp_x - n_x)
-                if _sqrt_rational(a1 * a1 - 4 * a2 * a0) is None:
+                if sqrt_rational(a1 * a1 - 4 * a2 * a0) is None:
                     return False
             return True
         return square
