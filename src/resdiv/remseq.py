@@ -46,7 +46,8 @@ from .rings import (
 class ProblemInstance:
     """A validated (ring, N, S, r) problem with its derived data.
 
-    rPrime is N*r^-1 mod S.  gate_ok records whether the size hypothesis
+    rinv is r^-1 mod S and rPrime is N*rinv mod S; build_chain starts
+    from both.  gate_ok records whether the size hypothesis
     holds (normsq(S)^3 > normsq(N), resp. 3*deg S >= deg N); instances
     failing it are still processed, only the completeness/run-time guarantee
     lapses.  lead_list is the Z[x] leading-coefficient list: the signed
@@ -59,6 +60,7 @@ class ProblemInstance:
     S: Element
     r: Element
     rPrime: Element
+    rinv: Element
     lead_list: tuple[int, ...] | None
     gate_ok: bool
 
@@ -231,7 +233,7 @@ def build_instance(
             else:
                 leads = _signed_divisors(l_n // (l_s * l_s))
 
-    return ProblemInstance(ring, N, S, r, r_prime, leads, gate)
+    return ProblemInstance(ring, N, S, r, r_prime, rinv, leads, gate)
 
 
 def build_chain(inst: ProblemInstance) -> RemChain:
@@ -264,8 +266,7 @@ def build_chain(inst: ProblemInstance) -> RemChain:
     AssertionError.
     """
     ring = inst.ring
-    S, r, rp, N = inst.S, inst.r, inst.rPrime, inst.N
-    rinv = mod_inverse(r, S, ring)
+    S, r, rp, N, rinv = inst.S, inst.r, inst.rPrime, inst.N, inst.rinv
     w = exact_div(N - r * rp, S, ring)
     if w is None:
         raise AssertionError("(N - r*rPrime)/S must divide exactly")

@@ -31,7 +31,10 @@ Shift tests in Z and Z[x].  There a row's shifts are integers n over the
 row's denominator m (lam = n/m; m = 1 in Z, shift_denominator), and each
 is tested on the row's scalar images before gamma is built: the numbers
 themselves in Z, the values at a few integers x0 in Z[x], where every
-input of the row is evaluated and no polynomial is expanded.  On a
+input of the row is evaluated and no polynomial is expanded.  The tests
+run on integers alone: a Z[x] value is a Horner sum of numerators over
+the polynomial's denominator, and each row brings its values over one
+denominator L, which it folds into the integers it tests.  On a
 quadratic row (RowSystem) D(n/m) must be a rational square at every
 image, one isqrt each; a shift that passes is solved at gamma, which
 takes its discriminant A1^2 - 4*A2*A0 from gamma and its root from the
@@ -49,7 +52,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import NamedTuple
 
 from .polynomials import Poly
@@ -120,6 +123,15 @@ def enumerate_residues(c: QuadInt, S: QuadInt, rbound: int, ring) -> list[QuadIn
     return out
 
 
+def _lead(p: Poly) -> tuple[int, int]:
+    """lead(p) in lowest terms, as (numerator, denominator); (0, 1) for the
+    zero polynomial."""
+    if not p.nums:
+        return 0, 1
+    g = gcd(p.nums[-1], p.den)
+    return p.nums[-1] // g, p.den // g
+
+
 def shift_denominator(a, b, inst: ProblemInstance) -> int:
     """The denominator m of the Z or Z[x] chain row (a, b, .): every shift
     of the row is lam = n/m for an integer n.  m is 1 in Z and
@@ -127,7 +139,7 @@ def shift_denominator(a, b, inst: ProblemInstance) -> int:
     poly_rhs_candidates); it is negative when lead(S) is."""
     if not inst.ring.is_poly:
         return 1
-    return inst.S.lead * lcm(a.lead.denominator, b.lead.denominator)
+    return inst.S.nums[-1] * lcm(_lead(a)[1], _lead(b)[1])
 
 
 def poly_rhs_candidates(a: Poly, b: Poly, inst: ProblemInstance) -> list[int]:
@@ -158,17 +170,19 @@ def poly_rhs_candidates(a: Poly, b: Poly, inst: ProblemInstance) -> list[int]:
     if inst.lead_list is None:
         raise ValueError("poly_rhs_candidates requires a Z[x] instance")
     S = inst.S
+    s_l = S.nums[-1]
     m = shift_denominator(a, b, inst)
-    k = m // S.lead
-    la, lb = int(a.lead * k), int(b.lead * k)
-    q = inst.N.lead // (S.lead * S.lead)
+    k = m // s_l
+    (a_num, a_den), (b_num, b_den) = _lead(a), _lead(b)
+    la, lb = a_num * (k // a_den), b_num * (k // b_den)
+    q = inst.N.nums[-1] // (s_l * s_l)
     shifts = set()
     for d_l in inst.lead_list:
         if q % d_l == 0:
             n_a, n_b = la * d_l, lb * (q // d_l)
             shifts.update((n_a + n_b, n_a, n_b))
     shifts.discard(0)
-    s_k = next(v for v in S.coeffs if v)
+    s_k = next(v for v in S.nums if v)
     return [0] + sorted(shifts, reverse=(s_k > 0) != (m > 0))
 
 
@@ -194,13 +208,12 @@ def _accept(x, y, inst: ProblemInstance) -> SolutionPair | None:
 _EVAL_POINTS = (1, -1, 2, 3)
 
 
-def _images(ring, *xs) -> list[tuple]:
-    """The row tests' scalar images of xs, one tuple per map to Q that
-    respects sums and products: the numbers themselves in Z, the values at
-    each x0 in _EVAL_POINTS in Z[x]."""
-    if ring.is_poly:
-        return [tuple(p(x0) for p in xs) for x0 in _EVAL_POINTS]
-    return [xs]
+def _horner(p: Poly, x0: int) -> int:
+    """den(p)*p(x0) at an integer x0: Horner's rule on the numerators."""
+    acc = 0
+    for v in reversed(p.nums):
+        acc = acc * x0 + v
+    return acc
 
 
 def _row_terms(S, r, rp, N, a, b):
@@ -221,29 +234,22 @@ def _disc_coeffs(S, c, terms):
     return s3 * s3, 2 * (a1 * s3) - a2x4 * (S * sr), a1 * a1 - a2x4 * (sr * c + delta)
 
 
-def _fold(E, F, G, m) -> tuple[int, int, int]:
-    """(L*e, L*f*m, L*g*m^2) for rationals (E, F, G) = (e, f, g)/L over
-    integers, L > 0: D(n/m) = E*(n/m)^2 + F*(n/m) + G is a rational square
-    exactly when (L*e*n + L*f*m)*n + L*g*m^2 = L^2*m^2*D(n/m) is an integer
-    square."""
-    den = lcm(E.denominator, F.denominator, G.denominator)
-    return (E.numerator * (den // E.denominator) * den,
-            F.numerator * (den // F.denominator) * den * m,
-            G.numerator * (den // G.denominator) * den * m * m)
-
-
 class _ShiftRow:
     """A chain row (a, b, c) whose Z and Z[x] shifts are tested on scalars
     before gamma is built.
 
     A shift is an integer n with lam = n/m, m = shift_denominator(a, b,
     inst).  keep(shifts), defined by RowSystem and FinalRow, is the test:
-    it returns the shifts that pass on every scalar image of the row
-    (_images), in order, and gammas(shifts) builds gamma = c + (n/m)*S for
-    those alone (n*S when m = 1, so Z stays in the integers).  Each image
-    is a map to Q that respects sums and products, so a relation that
-    holds for a solution pair in the ring holds at every image, and a
-    shift failing any image carries no pair for the solver to accept.
+    it returns the shifts that pass on every scalar image of the row, in
+    order, and gammas(shifts) builds gamma = c + (n/m)*S for those alone
+    (n*S when m = 1, so Z stays in the integers).  The images are the
+    numbers themselves in Z and the values at each x0 in _EVAL_POINTS in
+    Z[x].  Each is a map to Q that respects sums and products, so a
+    relation that holds for a solution pair in the ring holds at every
+    image, and a shift failing any image carries no pair for the solver
+    to accept.  The images are taken in integers: p = nums/den has the
+    value _horner(p, x0)/den at x0, and each test brings its inputs over
+    one denominator per row, so keep() builds no Fraction.
     """
 
     def __init__(self, a, b, c, inst: ProblemInstance):
@@ -266,13 +272,17 @@ class RowSystem(_ShiftRow):
     In Z and Z[x], keep(shifts) requires D(n/m) to be a rational square (0
     included) at every image.  On an image the row's inputs are scalars,
     and E, F and G come from the same formulas on them, so no polynomial
-    is expanded.  Over a common denominator L there, (E, F, G) = (e, f,
-    g)/L and D(n/m) = (e*n^2 + f*m*n + g*m^2)/(L*m^2), a rational square
-    exactly when (e'*n + f')*n + g' is an integer square, with (e', f', g')
-    = (L*e, L*f*m, L*g*m^2) folded once per row (_fold): one isqrt per
-    image.  In Z that is (E*n + F)*n + G itself.  D = h^2 in the ring
-    gives D(x0) = h(x0)^2 at every image, so a rejected shift has no root
-    for the solver to find.
+    is expanded.  There S, r, r', a, b and c are taken times L, the lcm of
+    the denominators of r', a, b and c (L = 1 in Z), and N times L^2, all
+    integers.  Every formula is homogeneous of degree 6 in these inputs (N
+    counting twice), so it gives integers (e, f, g) = L^6*(E, F, G).  With
+    k = gcd(L^6, e, f, g), den = L^6/k is the least common denominator of
+    E, F and G, and D(n/m) is a rational square exactly when
+    (e'*n + f')*n + g' = den^2*m^2*D(n/m) is an integer square, with
+    (e', f', g') = (e/k*den, f/k*den*m, g/k*den*m^2) folded once per row:
+    one isqrt per image.  In Z that is (E*n + F)*n + G itself.  D = h^2 in
+    the ring gives D(x0) = h(x0)^2 at every image, so a rejected shift has
+    no root for the solver to find.
     """
 
     @cached_property
@@ -282,14 +292,24 @@ class RowSystem(_ShiftRow):
 
     @cached_property
     def _folded(self) -> list[tuple[int, int, int]]:
-        """(e', f', g') per image (class docstring).  Z's one image is the
-        row itself, so its terms are the _terms that solve() uses."""
-        inst = self.inst
-        if not inst.ring.is_poly:
-            return [_fold(*_disc_coeffs(inst.S, self.c, self._terms), 1)]
-        return [_fold(*_disc_coeffs(S, c, _row_terms(S, r, rp, N, a, b)), self.m)
-                for S, r, rp, N, a, b, c in _images(inst.ring, inst.S, inst.r, inst.rPrime,
-                                                    inst.N, self.a, self.b, self.c)]
+        """(e', f', g') per image (class docstring)."""
+        inst, m = self.inst, self.m
+        xs = (inst.S, inst.r, inst.rPrime, inst.N, self.a, self.b, self.c)
+        if inst.ring.is_poly:
+            L = lcm(inst.rPrime.den, self.a.den, self.b.den, self.c.den)
+            scale = [L // p.den for p in xs]
+            scale[3] *= L  # N, of degree 2
+            images = [[_horner(p, x0) * w for p, w in zip(xs, scale)] for x0 in _EVAL_POINTS]
+        else:
+            L, images = 1, [xs]
+        l6 = L**6
+        out = []
+        for S, r, rp, N, a, b, c in images:
+            e, f, g = _disc_coeffs(S, c, _row_terms(S, r, rp, N, a, b))
+            k = gcd(l6, e, f, g)
+            den = l6 // k
+            out.append((e // k * den, f // k * den * m, g // k * den * m * m))
+        return out
 
     def coeffs(self):
         """(E, F, G) with D(lam) = E*lam^2 + F*lam + G."""
@@ -339,28 +359,38 @@ class RowSystem(_ShiftRow):
 class FinalRow(_ShiftRow):
     """The final chain row (0, u*S, 0) in Z and Z[x].
 
-    The row reads u*S*y = lam*S, so y = lam/u = n*step, step = 1/(u*m), is
+    The row reads u*S*y = lam*S, so y = lam/u = n*p/q, p/q = 1/(u*m), is
     exact for every shift, and a shift carries a pair only if the cofactor
     S*y + r' divides N.  keep(shifts) tests that on every image: there the
     cofactor must be an integer dividing N's image (0 only when that image
-    is 0).  In Z, u = b/S = +-1 is its own inverse and m = 1, so step = u;
-    in Z[x], u = lead(b)/lead(S).
+    is 0).  In Z, u = b/S = +-1 is its own inverse and m = 1, so p/q = u/1;
+    in Z[x], u = lead(b)/lead(S), so p = lead(S)*den(b) and q =
+    lead(nums(b))*m.  With r' = R/L at the image (L = den(r'), 1 in Z),
+    the cofactor is (S*p*L*n + R*q)/(q*L): one divisibility test and one
+    N % cof per image, from the integers (S*p*L, R*q, q*L, N) fixed per
+    row.
     """
 
     def __init__(self, a, b, c, inst: ProblemInstance):
         super().__init__(a, b, c, inst)
-        S = inst.S
-        self.step = Fraction(S.lead) / (b.lead * self.m) if inst.ring.is_poly else b // S
-        self.images = _images(inst.ring, S, inst.rPrime, inst.N)
+        S, rp, N = inst.S, inst.rPrime, inst.N
+        if inst.ring.is_poly:
+            p, q, L = S.nums[-1] * b.den, b.nums[-1] * self.m, rp.den
+            images = [(_horner(S, x0), _horner(rp, x0), _horner(N, x0)) for x0 in _EVAL_POINTS]
+        else:
+            p, q, L = b // S, 1, 1
+            images = [(S, rp, N)]
+        self.images = [(s_x * p * L, r_x * q, q * L, n_x) for s_x, r_x, n_x in images]
 
     def keep(self, shifts: list[int]) -> list[int]:
-        step = self.step
         out = []
         for n in shifts:
-            y = n * step
-            for s, rp, N in self.images:
-                cof = s * y + rp
-                if cof.denominator != 1 or (N % cof if cof else N):
+            for k, k0, d, N in self.images:
+                num = k * n + k0
+                if num % d:
+                    break
+                cof = num // d
+                if N % cof if cof else N:
                     break
             else:
                 out.append(n)

@@ -171,6 +171,18 @@ def sqrt_rational(c):
     return None
 
 
+def fold_rational(E, F, G, m) -> tuple[int, int, int]:
+    """The Fraction reference for RowSystem's folded images: (L*e, L*f*m,
+    L*g*m^2) for rationals (E, F, G) = (e, f, g)/L over integers, L > 0
+    their least common denominator.  D(n/m) = E*(n/m)^2 + F*(n/m) + G is a
+    rational square exactly when (L*e*n + L*f*m)*n + L*g*m^2 =
+    L^2*m^2*D(n/m) is an integer square."""
+    den = math.lcm(E.denominator, F.denominator, G.denominator)
+    return (E.numerator * (den // E.denominator) * den,
+            F.numerator * (den // F.denominator) * den * m,
+            G.numerator * (den // G.denominator) * den * m * m)
+
+
 def family_triples() -> list[tuple[int, int, int]]:
     """(N, S, r) of the 38 integer family instances: the standalone record,
     cohen levels 3..20 and seven-signed bases 2..20."""

@@ -179,9 +179,9 @@ def test_chain_shape_property_z(n, s, r):
 
 
 def test_chain_shape_violation_raises():
-    # gcd(N, S) = 2 skips build_instance's check: a_1 = 2 is no unit mod
-    # 10, so b_t = -5 is not a unit times S
-    inst = ProblemInstance(RING_Z, 12, 10, 1, 2, None, True)
+    # gcd(N, S) = 2 skips build_instance's check (r = 1, so rinv = 1):
+    # a_1 = 2 is no unit mod 10, so b_t = -5 is not a unit times S
+    inst = ProblemInstance(RING_Z, 12, 10, 1, 2, 1, None, True)
     with pytest.raises(AssertionError):
         build_chain(inst)
 

@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     GENERAL_DS,
     family_triples,
+    fold_rational,
     plant_poly,
     plant_quad,
     plant_rational,
@@ -13,9 +14,12 @@ from conftest import (
     sqrt_rational,
     sympy_poly_factors,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from resdiv import polynomials, solver
+from resdiv.algorithms import find_divisors
+from resdiv.base import InvalidInstanceError
 from resdiv.polynomials import Poly
 from resdiv.oracle import oracle_poly
 from resdiv.remseq import build_chain, build_instance
@@ -25,7 +29,7 @@ from resdiv.solver import (
     FinalRow,
     RowSystem,
     SolutionPair,
-    _fold,
+    _horner,
     candidate_radius,
     enumerate_residues,
     integer_shifts,
@@ -384,11 +388,24 @@ def test_folded_test_is_rational_squareness(E, F, G, h, square, n, m):
     lam = Fraction(n, m)
     if square:
         G = h * h - E * lam * lam - F * lam
-    row = _row_with_images([_fold(E, F, G, m)])
+    row = _row_with_images([fold_rational(E, F, G, m)])
     want = sqrt_rational(E * lam * lam + F * lam + G) is not None
     assert row.keep([n]) == ([n] if want else [])
     if square:
         assert want
+
+
+@settings(max_examples=400)
+@given(k=st.integers(-40, 40), k0=st.integers(-200, 200), d=st.integers(-12, 12).filter(bool),
+       N=st.integers(-300, 300), n=st.integers(-30, 30))
+def test_final_row_test_is_integral_divisor(k, k0, d, N, n):
+    # FinalRow.keep on one image (k, k0, d, N) keeps n exactly when the
+    # cofactor (k*n + k0)/d is an integer dividing N (0 only when N is 0)
+    row = object.__new__(FinalRow)
+    row.images = [(k, k0, d, N)]
+    cof = Fraction(k * n + k0, d)
+    want = cof.denominator == 1 and (N % cof == 0 if cof else N == 0)
+    assert row.keep([n]) == ([n] if want else [])
 
 
 @settings(max_examples=300)
@@ -405,8 +422,22 @@ def test_prefilter_passes_every_square(h, e, f, n, m, zero_at):
         hp = hp * Poly([-zero_at, 1])
     E, F, lam = Poly(e), Poly(f), Fraction(n, m)
     G = hp * hp - E * lam * lam - F * lam
-    row = _row_with_images([_fold(E(x0), F(x0), G(x0), m) for x0 in _EVAL_POINTS])
+    row = _row_with_images([fold_rational(E(x0), F(x0), G(x0), m) for x0 in _EVAL_POINTS])
     assert row.keep([n]) == [n]
+
+
+@settings(max_examples=300)
+@given(coeffs=st.one_of(st.lists(_fractions, max_size=7),
+                        st.lists(st.integers(-10**9, 10**9), max_size=7)),
+       negate=st.booleans())
+@example(coeffs=[], negate=False)
+def test_integer_image_is_the_value(coeffs, negate):
+    # the integer image at each evaluation point over the denominator is
+    # the value there, for rational and integral p, either sign of lead(p)
+    # and the zero polynomial
+    p = -Poly(coeffs) if negate else Poly(coeffs)
+    for x0 in _EVAL_POINTS:
+        assert Fraction(_horner(p, x0), p.den) == p(x0)
 
 
 def _expanded_efg(a, b, c, inst):
@@ -518,6 +549,53 @@ def test_int_shift_tests_keep_every_solution_shift(z_corpus):
         assert rejected > 0 and passed > 0, (kind, counts)
 
 
+def test_poly_rows_with_rational_rprime():
+    # the criterion-4 corpus has integral r' only: here S is non-monic, the
+    # planted divisor is S*f + r with f a multiple of lead(S), and its
+    # cofactor j*x^deg(S) + w is S*y0 + r' with y0 = j/lead(S) and r'
+    # rational.  Every row keeps exactly the shifts the rational test
+    # keeps, over a range of shifts, and on the final row the planted one
+    # n = y0*u*m where it is an integer; the divisor is found
+    rng = random.Random(1509)
+    planted = 0
+    while planted < 40:
+        deg = rng.randint(2, 4)
+        lead = rng.choice((2, 3, -2, 5, -6))
+        S = Poly([rng.randint(-9, 9) for _ in range(deg)] + [lead])
+        r = Poly([rng.randint(-9, 9) for _ in range(rng.randint(1, deg))])
+        j = rng.choice([v for v in range(-7, 8) if v % lead])
+        cof = Poly([rng.randint(-9, 9) for _ in range(deg)] + [j])
+        dv = S * (lead * rng.choice((1, -1, 2))) + r
+        try:
+            inst = build_instance(RING_ZX, dv * cof, S, r)
+        except InvalidInstanceError:
+            continue
+        if inst.rPrime.is_integral():
+            continue
+        y0 = Fraction(j, lead)
+        assert exact_div(cof - inst.rPrime, S, RING_ZX) == y0
+        chain = build_chain(inst)
+        for k in range(1, chain.t):
+            a, b, c = chain.a[k], chain.b[k], chain.c[k]
+            shifts = sorted(set(poly_rhs_candidates(a, b, inst)) | set(range(-30, 31)))
+            row = RowSystem(a, b, c, inst)
+            ref = _rational_shift_test(a, b, c, inst, False)
+            assert row.keep(shifts) == [n for n in shifts if ref(Fraction(n, row.m))]
+        a, b, c = chain.a[chain.t], chain.b[chain.t], chain.c[chain.t]
+        final = FinalRow(a, b, c, inst)
+        n_y0 = y0 * Fraction(b.lead, S.lead) * final.m
+        shifts = set(poly_rhs_candidates(a, b, inst)) | set(range(-30, 31))
+        if n_y0.denominator == 1:
+            shifts.add(int(n_y0))
+            planted += 1
+        shifts = sorted(shifts)
+        ref = _rational_shift_test(a, b, c, inst, True)
+        want = [n for n in shifts if ref(Fraction(n, final.m))]
+        assert final.keep(shifts) == want
+        assert n_y0.denominator != 1 or n_y0 in want
+        assert dv in find_divisors(inst).divisors
+
+
 def test_poly_final_row_keeps_every_solution_shift(poly_corpus):
     # on the final row of every criterion-4 Z[x] instance (monic and
     # non-monic S), each shift at which the unfiltered solver returns a
@@ -612,6 +690,44 @@ def test_integer_shift_tests_match_rational_tests(z_corpus, poly_corpus):
     assert len(counts) == 4
     for key, (rejected, kept) in counts.items():
         assert rejected > 0 and kept > 0, (key, counts)
+
+
+class _NoFraction:
+    def __new__(cls, *args, **kwargs):
+        raise AssertionError("Fraction built in a Z[x] shift test")
+
+
+def test_poly_shift_tests_build_no_fraction(poly_corpus, monkeypatch):
+    # shift_denominator, poly_rhs_candidates and keep() of fresh RowSystem
+    # and FinalRow objects run on integers alone: with Fraction made
+    # unconstructible in solver and polynomials they still run on every
+    # row of the criterion-4 Z[x] corpus and agree with the results taken
+    # before, whose m is lead(S)*lcm(den lead(a), den lead(b)) from the
+    # Fraction views
+    rows = []
+    for inst, _ in poly_corpus:
+        chain = build_chain(inst)
+        rows += [(chain.a[k], chain.b[k], chain.c[k], inst, k == chain.t)
+                 for k in range(1, chain.t + 1)]
+
+    def run():
+        out = []
+        for a, b, c, inst, final in rows:
+            shifts = poly_rhs_candidates(a, b, inst)
+            test = (FinalRow if final else RowSystem)(a, b, c, inst)
+            out.append((shift_denominator(a, b, inst), shifts, test.keep(shifts)))
+        return out
+
+    before = run()
+    assert [m for m, *_ in before] == [
+        inst.S.lead * math.lcm(Fraction(a.lead).denominator, Fraction(b.lead).denominator)
+        for a, b, _, inst, _ in rows]
+    rational = sum(isinstance(a.lead, Fraction) or isinstance(b.lead, Fraction)
+                   for a, b, *_ in rows)
+    assert rational >= 500
+    monkeypatch.setattr(solver, "Fraction", _NoFraction)
+    monkeypatch.setattr(polynomials, "Fraction", _NoFraction)
+    assert run() == before
 
 
 # --- the two sweep-invisible solutions ------------------------------------------
