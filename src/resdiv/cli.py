@@ -29,11 +29,8 @@ from .families import (
     verify_family,
 )
 from .remseq import build_instance
-from .rings import ring_from_name
+from .rings import RING_NAMES, ring_from_name
 from .syntax import format_element, parse_element
-
-_RING_NAMES = ("z", "zi", "q-2", "q-3", "q-7", "q-11", "zx")
-
 
 class _ArgParser(argparse.ArgumentParser):
     """argparse exits with 2 on bad arguments; the contract here is 1."""
@@ -240,7 +237,7 @@ def _build_parser() -> _ArgParser:
                              parser_class=_ArgParser)
 
     p_find = sub.add_parser("find", help="search one instance")
-    p_find.add_argument("--ring", choices=_RING_NAMES, default="z")
+    p_find.add_argument("--ring", choices=tuple(RING_NAMES), default="z")
     p_find.add_argument("-N", required=True, help="the number to factor along the class")
     p_find.add_argument("-S", required=True, help="the modulus")
     p_find.add_argument("-r", required=True, help="the residue")
@@ -256,8 +253,8 @@ def _build_parser() -> _ArgParser:
                          help="digit scales: comma list and/or a..b ranges")
     p_bench.add_argument("--samples", type=int, default=20)
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--ring", choices=("zi", "q-2", "q-3", "q-7", "q-11"),
-                         default="zi")
+    p_bench.add_argument("--ring", default="zi",
+                         choices=[n for n, r in RING_NAMES.items() if r.is_quad])
     p_bench.add_argument("--out", help="CSV path; a .dat twin is written beside it")
     p_bench.set_defaults(func=_cmd_bench)
 

@@ -11,11 +11,11 @@ function of the shift gamma = c + lam*S, is the quadratic
 D(lam) = E*lam^2 + F*lam + G of the row (derived in the solver module
 docstring; solver.RowSystem builds E, F and G).  A ring solution x
 forces z = 2*A2*x + A1 to satisfy z^2 = D, so D must be a square in the
-residue ring O_K/p for every split prime p.  O_K/p is F_p x F_p there, and
-squareness of D mod p depends only on the class of lam mod p, one of p^2.
-Each of eight primes tests the points that survived the primes before it:
-while they outnumber the p^2 classes, D is evaluated once per class and
-gathered; after that, only at the survivors' own classes.  The eight tests
+residue ring O_K/p for every split prime p.  O_K/p is F_p x F_p there,
+through sqrt(d) -> s and sqrt(d) -> -s, and in each component D is a
+scalar quadratic in the image t of lam: one table of squareness over the
+p values of t per component, gathered at the lam classes mod p (one of
+p^2) of the points that survived the primes before it.  The eight tests
 cut the pool by about 4^-8 and the survivors go to the exact solver, which
 verifies everything anyway.  Nothing here is trusted for soundness, only
 for not discarding true solutions: z in O_K implies its image mod p is a
@@ -65,11 +65,13 @@ class _Pool:
     normsq(c + lam*S) < radius^2 * normsq(S) whenever c is reduced mod S.
     For each split prime p_k, cls[k] is every point's flat class
     (lu mod p_k)*p_k + (lv mod p_k), int16 because p_k^2 < 2^15 in all five
-    rings (the eighth split prime is at most 83), and sq[k] is the
-    flattened squareness table of O_K/p_k over those classes.
+    rings (the eighth split prime is at most 83).  tables[k] is
+    (s, squares, plus, minus): s^2 = d mod p_k, squares[t] tells whether t
+    is a square mod p_k (0 included), and plus, minus map each flat class
+    to lam's image (lu + s*lv)/2, (lu - s*lv)/2 in the two F_p components.
     """
 
-    __slots__ = ("d", "rbound", "lu", "lv", "primes", "inv2", "sq", "cls")
+    __slots__ = ("d", "rbound", "lu", "lv", "primes", "tables", "cls")
 
     def __init__(self, d: int, rbound: int):
         self.d = d
@@ -95,18 +97,17 @@ class _Pool:
         self.lv = vs.take(iv)
 
         self.primes = _split_primes(d)
-        self.inv2 = []
-        self.sq = []
+        self.tables = []
         self.cls = []
         for p in self.primes:
             s = next(z for z in range(1, p) if z * z % p == d % p)
-            self.inv2.append((p + 1) // 2)
+            half = (p + 1) // 2
             ar = np.arange(p, dtype=np.int64)
-            qr = np.zeros(p, dtype=bool)
-            qr[(ar * ar) % p] = True
-            plus = ((ar[:, None] + ar[None, :] * s) * self.inv2[-1]) % p
-            minus = ((ar[:, None] - ar[None, :] * s) * self.inv2[-1]) % p
-            self.sq.append((qr[plus] & qr[minus]).ravel())
+            squares = np.zeros(p, dtype=bool)
+            squares[(ar * ar) % p] = True
+            plus = ((ar[:, None] + ar[None, :] * s) * half % p).ravel()
+            minus = ((ar[:, None] - ar[None, :] * s) * half % p).ravel()
+            self.tables.append((s, squares, plus, minus))
             self.cls.append(((us % p) * p).astype(np.int16).take(iu)
                             + (vs % p).astype(np.int16).take(iv))
 
@@ -124,33 +125,30 @@ def get_pool(d: int, rbound: int | None = None) -> _Pool:
 
 
 def _disc_sq(E: QuadInt, F: QuadInt, G: QuadInt, pool: _Pool, k: int, classes):
-    """Is D(lam) a square in O_K/p_k, at each flat lam class in classes."""
+    """Is D(lam) a square in O_K/p_k, at each flat lam class in classes.
+
+    In the component sqrt(d) -> r (r = s or -s) D is e*t^2 + f*t + g with
+    e = (E.u + r*E.v)/2 mod p_k (f, g likewise, reduced as Python ints, so
+    E, F and G may have any size) and t lam's image there; each component
+    is tabled at every t and the two tables are gathered at the classes.
+    """
     p = pool.primes[k]
-    i2 = pool.inv2[k]
-    dp = pool.d % p
-    la, lb = np.divmod(classes.astype(np.int64), p)
-    l2u = (((la * la + dp * lb * lb) % p) * i2) % p
-    l2v = (la * lb) % p
-    eu, ev = E.u % p, E.v % p
-    fu, fv = F.u % p, F.v % p
-    gu, gv = G.u % p, G.v % p
-    du = (((eu * l2u + dp * ev * l2v) % p) * i2
-          + ((fu * la + dp * fv * lb) % p) * i2 + gu) % p
-    dv = (((eu * l2v + ev * l2u) % p) * i2
-          + ((fu * lb + fv * la) % p) * i2 + gv) % p
-    return pool.sq[k].take(du * p + dv)
+    s, squares, plus, minus = pool.tables[k]
+    half = (p + 1) // 2
+    t = np.arange(p)
+    ok = []
+    for r in (s, -s):
+        e, f, g = ((X.u + r * X.v) * half % p for X in (E, F, G))
+        ok.append(squares.take(((e * t + f) * t + g) % p))
+    return (ok[0].take(plus) & ok[1].take(minus)).take(classes)
 
 
 def _quad_row(a, b, c, inst: ProblemInstance, pool: _Pool) -> list[QuadInt]:
     E, F, G = RowSystem(a, b, c, inst).coeffs()
 
     surv = None
-    for k, p in enumerate(pool.primes):
-        cls = pool.cls[k] if surv is None else pool.cls[k].take(surv)
-        if cls.size > p * p:
-            ok = _disc_sq(E, F, G, pool, k, np.arange(p * p)).take(cls)
-        else:
-            ok = _disc_sq(E, F, G, pool, k, cls)
+    for k, cls in enumerate(pool.cls):
+        ok = _disc_sq(E, F, G, pool, k, cls if surv is None else cls.take(surv))
         surv = np.flatnonzero(ok) if surv is None else surv[ok]
         if surv.size == 0:
             return []

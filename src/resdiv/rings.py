@@ -81,17 +81,20 @@ def quad_ring(d: int) -> RingId:
 
 RING_ZI = quad_ring(-1)
 
-_RING_NAMES = {"z": RING_Z, "zx": RING_ZX, "zi": RING_ZI}
-_RING_NAMES.update({f"q{d}": quad_ring(d) for d in QUADRATIC_DS if d != -1})
+# every ring by its CLI name, in the order the CLI lists them
+RING_NAMES = {
+    ring.name: ring
+    for ring in (RING_Z, RING_ZI, *(quad_ring(d) for d in QUADRATIC_DS[1:]), RING_ZX)
+}
 
 
 def ring_from_name(name: str) -> RingId:
     """Map a CLI ring name (z, zi, q-2, q-3, q-7, q-11, zx) to a RingId."""
     try:
-        return _RING_NAMES[name]
+        return RING_NAMES[name]
     except KeyError:
         raise ValueError(
-            f"unknown ring {name!r}; expected one of {sorted(_RING_NAMES)}"
+            f"unknown ring {name!r}; expected one of {sorted(RING_NAMES)}"
         ) from None
 
 
@@ -271,32 +274,24 @@ def _round_half_down(num: int, den: int) -> int:
 def _round_to_parity(num: int, den: int, parity: int) -> int:
     """Integer s with s = parity (mod 2) nearest to num/den; ties -> smaller s.
 
-    den > 0.  The right-parity integers within distance 1 of num/den all lie
-    in [floor - 1, floor + 2], so a five-wide scan is exhaustive.
+    den > 0.  s = parity + 2*k with k the nearest integer to
+    (num/den - parity)/2, ties down.
     """
-    g = num // den
-    best_s = None
-    best_key = None
-    for s in range(g - 2, g + 3):
-        if (s - parity) % 2:
-            continue
-        key = (abs(s * den - num), s)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_s = s
-    assert best_s is not None
-    return best_s
+    return parity + 2 * _round_half_down(num - parity * den, 2 * den)
 
 
 def quad_div(a: QuadInt, b: QuadInt) -> DivResult:
     """Euclidean division a = q*b + r in O_K.
 
-    q is the ring element nearest to the exact quotient a/b.  For d = -1, -2
-    both coordinates round independently (ties toward minus infinity).  For
-    d = -3, -7, -11 the sqrt(d) doubled coordinate t rounds first (ties
-    down), then the rational doubled coordinate takes the nearest integer of
-    the same parity as t, ties to the smaller value.  This yields
-    normsq(r) <= c_d * normsq(b) with c_d = 1/2, 3/4, 15/16 respectively.
+    q is the ring element nearest to the exact quotient a/b = w/n, w =
+    a*conj(b), n = normsq(b), one coordinate at a time, in the doubled
+    coordinates of QuadInt.  The sqrt(d) coordinate t rounds first, ties
+    down: to the nearest even integer for d = -1, -2 (where both doubled
+    coordinates are even), to the nearest integer otherwise.  Then the
+    rational coordinate s takes the nearest integer of the same parity as
+    t, ties to the smaller value.  For d = -1, -2 that is both coordinates
+    rounded independently, ties toward minus infinity.  This yields
+    normsq(r) <= c_d * normsq(b) with c_d = 1/2, 3/4, 15/16, 15/16, 15/16.
     """
     if b.is_zero():
         raise ZeroDivisionError("quadratic division by zero")
@@ -304,14 +299,10 @@ def quad_div(a: QuadInt, b: QuadInt) -> DivResult:
     d = a._coerce(b).d  # ring-mix check
     w = a * b.conj()
     n = b.normsq()
-    if d in (-1, -2):
-        s = _round_half_down(w.u, 2 * n)
-        t = _round_half_down(w.v, 2 * n)
-        q = QuadInt(2 * s, 2 * t, d)
-    else:
-        t = _round_half_down(w.v, n)
-        s = _round_to_parity(w.u, n, t & 1)
-        q = QuadInt(s, t, d)
+    step = 2 if d in (-1, -2) else 1
+    t = step * _round_half_down(w.v, step * n)
+    s = _round_to_parity(w.u, n, t & 1)
+    q = QuadInt(s, t, d)
     r = a - q * b
     num, den = DIV_NORM_BOUND[d]
     if den * r.normsq() > num * n:

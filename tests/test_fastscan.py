@@ -101,6 +101,49 @@ def _is_square_mod(z, p):
     return z % p == 0 or pow(z, (p - 1) // 2, p) == 1
 
 
+def test_disc_sq_matches_component_squareness():
+    # every class of every prime in every ring, against D(lam) computed
+    # exactly in O_K at one lam of the class and tested for squareness in
+    # both F_p components; E, F and G have negative coordinates and
+    # coordinates far past 2^63
+    rng = random.Random(81)
+    signs = ((-1, 1), (1, -1), (-1, -1), (1, 1))
+    for d in (-1,) + GENERAL_DS:
+        pool = get_pool(d, 4)
+        for k, p in enumerate(pool.primes):
+            # coordinates near 10^40 in every prime, one small coefficient
+            # in every other one; sign patterns rotate over E, F and G
+            bounds = [(10**79, 10**81)] * 3
+            if k % 2:
+                bounds[k % 3] = (1, 10**6)
+            E, F, G = (
+                QuadInt(su * abs(z.u), sv * abs(z.v), d)
+                for z, (su, sv) in zip(
+                    (rand_quad(rng, d, lo, hi) for lo, hi in bounds),
+                    signs[k % 4:] + signs[:k % 4],
+                )
+            )
+            assert max(abs(E.u), abs(F.u), abs(G.u)) > 1 << 63
+            s = next(z for z in range(1, p) if z * z % p == d % p)
+            half = pow(2, -1, p)
+            got = _disc_sq(E, F, G, pool, k, np.arange(p * p)).tolist()
+            want = []
+            for cu in range(p):
+                for cv in range(p):
+                    # lam = (lu + lv*sqrt(d))/2 with lu = cu, lv = cv mod p
+                    lu, lv = cu, cv
+                    if d % 4 == 1:
+                        lv += p * ((lu - lv) % 2)
+                    else:
+                        lu += p * (lu % 2)
+                        lv += p * (lv % 2)
+                    lam = QuadInt(lu, lv, d)
+                    D = E * lam * lam + F * lam + G
+                    want.append(_is_square_mod((D.u + s * D.v) * half, p)
+                                and _is_square_mod((D.u - s * D.v) * half, p))
+            assert got == want
+
+
 def test_quad_row_matches_discriminant_reference():
     # every pool point whose D(lam) is a square in both F_p components for
     # all eight primes, in pool order, and no other; each pool exceeds the
