@@ -13,11 +13,14 @@ docstring; solver.RowSystem builds E, F and G).  A ring solution x
 forces z = 2*A2*x + A1 to satisfy z^2 = D, so D must be a square in the
 residue ring O_K/p for every split prime p.  O_K/p is F_p x F_p there,
 through sqrt(d) -> s and sqrt(d) -> -s, and in each component D is a
-scalar quadratic in the image t of lam: one table of squareness over the
-p values of t per component, gathered at the lam classes mod p (one of
-p^2) of the points that survived the primes before it.  The eight tests
-cut the pool by about 4^-8 and the survivors go to the exact solver, which
-verifies everything anyway.  Nothing here is trusted for soundness, only
+scalar quadratic in the image t of lam.  A row evaluates both components
+of all eight primes at every t in one pass over a shared layout and
+looks each value up in the squares mod its prime (_squares); each
+prime's table over its p^2 lam classes is then two gathers and an AND
+(_class_table), gathered in turn at the classes of the points that
+survived the primes before it.  The eight tests cut the pool by about
+4^-8 and the survivors go to the exact solver, which verifies everything
+anyway.  Nothing here is trusted for soundness, only
 for not discarding true solutions: z in O_K implies its image mod p is a
 square, always.
 
@@ -32,7 +35,7 @@ reduced digit by digit.
 
 from __future__ import annotations
 
-from math import isqrt
+from math import isqrt, prod
 
 import numpy as np
 
@@ -65,13 +68,26 @@ class _Pool:
     normsq(c + lam*S) < radius^2 * normsq(S) whenever c is reduced mod S.
     For each split prime p_k, cls[k] is every point's flat class
     (lu mod p_k)*p_k + (lv mod p_k), int16 because p_k^2 < 2^15 in all five
-    rings (the eighth split prime is at most 83).  tables[k] is
-    (s, squares, plus, minus): s^2 = d mod p_k, squares[t] tells whether t
-    is a square mod p_k (0 included), and plus, minus map each flat class
-    to lam's image (lu + s*lv)/2, (lu - s*lv)/2 in the two F_p components.
+    rings (the eighth split prime is at most 83).
+
+    The eight primes share one layout of positions (_squares).  A
+    position is a (component, prime, t): component 1 (sqrt(d) -> s_k)
+    holds t = 0..p_k-1 for each prime in turn, and component 2
+    (sqrt(d) -> -s_k) the same again.  Per position, prime_of is its
+    prime's index k into prime_array, p is p_k, root is s_k or p_k - s_k,
+    t is t, and at is the offset of its prime's p_k entries in squares,
+    where squares[at + w] tells whether w/2 is a square mod p_k (0
+    included).  plus and minus hold, at slices[k].start + class for each
+    of p_k's p_k^2 classes, the positions of lam's images
+    (lu + s_k*lv)/2 and (lu - s_k*lv)/2 mod p_k in the two components.
+    modulus is the product of the eight primes, below 2^45.  These tables
+    hold 2*sum(p_k) + 2*sum(p_k^2) entries, under 50k in every ring,
+    whatever the pool's size.
     """
 
-    __slots__ = ("d", "rbound", "lu", "lv", "primes", "tables", "cls")
+    __slots__ = ("d", "rbound", "lu", "lv", "primes", "cls", "modulus",
+                 "prime_array", "prime_of", "p", "root", "t", "at", "squares",
+                 "plus", "minus", "slices")
 
     def __init__(self, d: int, rbound: int):
         self.d = d
@@ -96,20 +112,37 @@ class _Pool:
         self.lu = us.take(iu)
         self.lv = vs.take(iv)
 
-        self.primes = _split_primes(d)
-        self.tables = []
-        self.cls = []
-        for p in self.primes:
-            s = next(z for z in range(1, p) if z * z % p == d % p)
-            half = (p + 1) // 2
-            ar = np.arange(p, dtype=np.int64)
-            squares = np.zeros(p, dtype=bool)
-            squares[(ar * ar) % p] = True
-            plus = ((ar[:, None] + ar[None, :] * s) * half % p).ravel()
-            minus = ((ar[:, None] - ar[None, :] * s) * half % p).ravel()
-            self.tables.append((s, squares, plus, minus))
-            self.cls.append(((us % p) * p).astype(np.int16).take(iu)
-                            + (vs % p).astype(np.int16).take(iv))
+        primes = self.primes = _split_primes(d)
+        self.cls = [((us % p) * p).astype(np.int16).take(iu)
+                    + (vs % p).astype(np.int16).take(iv) for p in primes]
+        self.modulus = prod(primes)
+        self.prime_array = np.array(primes)
+        roots = [next(z for z in range(1, p) if z * z % p == d % p) for p in primes]
+        starts = np.cumsum((0,) + primes[:-1])
+        prime_of = np.repeat(np.arange(len(primes)), primes)
+        p = self.prime_array.take(prime_of)
+        at = starts.take(prime_of)
+        t = np.arange(p.size) - at
+        s = np.take(roots, prime_of)
+        square = np.zeros(p.size, dtype=bool)
+        square[at + t * t % p] = True
+        self.squares = square.take(at + t * ((p + 1) // 2) % p)
+        self.prime_of = np.concatenate([prime_of, prime_of])
+        self.p = np.concatenate([p, p])
+        self.root = np.concatenate([s, p - s])
+        self.at = np.concatenate([at, at])
+        self.t = np.concatenate([t, t])
+        plus, minus, self.slices = [], [], []
+        first = 0
+        for pk, sk, ak in zip(primes, roots, starts.tolist()):
+            ar = np.arange(pk)
+            half = (pk + 1) // 2
+            plus.append(ak + ((ar[:, None] + ar[None, :] * sk) * half % pk).ravel())
+            minus.append(p.size + ak + ((ar[:, None] - ar[None, :] * sk) * half % pk).ravel())
+            self.slices.append(slice(first, first + pk * pk))
+            first += pk * pk
+        self.plus = np.concatenate(plus)
+        self.minus = np.concatenate(minus)
 
 
 _POOLS: dict[tuple[int, int], _Pool] = {}
@@ -124,32 +157,39 @@ def get_pool(d: int, rbound: int | None = None) -> _Pool:
     return _POOLS[key]
 
 
-def _disc_sq(E: QuadInt, F: QuadInt, G: QuadInt, pool: _Pool, k: int, classes):
-    """Is D(lam) a square in O_K/p_k, at each flat lam class in classes.
+def _squares(E: QuadInt, F: QuadInt, G: QuadInt, pool: _Pool) -> np.ndarray:
+    """Is D's image a square at every position of pool: every t in both
+    F_p components of every split prime, in one pass.
 
-    In the component sqrt(d) -> r (r = s or -s) D is e*t^2 + f*t + g with
-    e = (E.u + r*E.v)/2 mod p_k (f, g likewise, reduced as Python ints, so
-    E, F and G may have any size) and t lam's image there; each component
-    is tabled at every t and the two tables are gathered at the classes.
+    In the component sqrt(d) -> r (r = s_k or -s_k) D is (e*t^2 + f*t + g)/2
+    with e = E.u + r*E.v mod p_k (f, g likewise) and t lam's image there.
+    The six coordinates of E, F and G are reduced mod the product of the
+    primes as Python ints, so they may have any size, and then mod each
+    prime: 48 residues, which fix e, f and g for all sixteen components.
+    Then e, f, g < p_k^2 and t < p_k, so every int64 value stays below
+    p_k^4 < 2^26.
     """
-    p = pool.primes[k]
-    s, squares, plus, minus = pool.tables[k]
-    half = (p + 1) // 2
-    t = np.arange(p)
-    ok = []
-    for r in (s, -s):
-        e, f, g = ((X.u + r * X.v) * half % p for X in (E, F, G))
-        ok.append(squares.take(((e * t + f) * t + g) % p))
-    return (ok[0].take(plus) & ok[1].take(minus)).take(classes)
+    m = pool.modulus
+    x = np.array([E.u % m, E.v % m, F.u % m, F.v % m, G.u % m, G.v % m])
+    y = (x[:, None] % pool.prime_array).take(pool.prime_of, axis=1)
+    e, f, g = y[0::2] + pool.root * y[1::2]
+    t = pool.t
+    return pool.squares.take(pool.at + ((e * t + f) * t + g) % pool.p)
+
+
+def _class_table(ok: np.ndarray, pool: _Pool, k: int) -> np.ndarray:
+    """Is D(lam) a square in O_K/p_k, at each flat lam class of p_k: both
+    of the class's images are squares in ok (from _squares)."""
+    sl = pool.slices[k]
+    return ok.take(pool.plus[sl]) & ok.take(pool.minus[sl])
 
 
 def _quad_row(a, b, c, inst: ProblemInstance, pool: _Pool) -> list[QuadInt]:
-    E, F, G = RowSystem(a, b, c, inst).coeffs()
-
+    ok = _squares(*RowSystem(a, b, c, inst).coeffs(), pool)
     surv = None
     for k, cls in enumerate(pool.cls):
-        ok = _disc_sq(E, F, G, pool, k, cls if surv is None else cls.take(surv))
-        surv = np.flatnonzero(ok) if surv is None else surv[ok]
+        hit = _class_table(ok, pool, k).take(cls if surv is None else cls.take(surv))
+        surv = np.flatnonzero(hit) if surv is None else surv[hit]
         if surv.size == 0:
             return []
     d, S = pool.d, inst.S

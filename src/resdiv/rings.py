@@ -7,8 +7,10 @@ polynomials) for Z[x] / Q[x].
 QuadInt stores doubled coordinates: QuadInt(u, v, d) is the element
 (u + v*sqrt(d))/2.  For d = -1 and -2 the ring is Z[sqrt(d)], so u and v are
 both even; for d = -3, -7, -11 the ring is Z[(1+sqrt(d))/2] and u, v must
-share parity.  Constructors enforce this, which keeps normsq = (u^2+|d|v^2)/4
-an honest integer and makes equality a plain tuple comparison.
+share parity.  The public constructor enforces this on Python-int
+coordinates, which keeps normsq = (u^2+|d|v^2)/4 an honest integer and makes
+equality a plain tuple comparison; ring operations on valid elements stay
+valid, so their results skip the checks (_unchecked).
 
 Everything here is exact; there is no floating point on any path that decides
 correctness.  Magnitude comparisons go through squared norms.
@@ -17,6 +19,7 @@ correctness.  Magnitude comparisons go through squared norms.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -109,7 +112,18 @@ def _parity_ok(u: int, v: int, d: int) -> bool:
 
 
 class QuadInt:
-    """Element (u + v*sqrt(d))/2 of O_K, in doubled coordinates."""
+    """Element (u + v*sqrt(d))/2 of O_K, in doubled coordinates.
+
+    QuadInt(u, v, d) validates: u, v and d must be integers (numpy
+    integers become Python ints; floats and Fractions raise ValueError),
+    d one of QUADRATIC_DS and (u, v) of the ring's parity.  Sums,
+    differences, products, negation, conj and int coercion build their
+    results with _unchecked instead: the ring is closed under them, so a
+    result of valid inputs is valid.  Parity is preserved because the
+    doubled coordinates add and subtract coordinate-wise, and a product's
+    (u*u' + d*v*v')/2, (u*v' + v*u')/2 are integers of the right parity
+    whenever both factors are ring elements.
+    """
 
     __slots__ = ("u", "v", "d")
 
@@ -118,15 +132,19 @@ class QuadInt:
     d: int
 
     def __init__(self, u: int, v: int, d: int) -> None:
+        try:
+            u, v, d = operator.index(u), operator.index(v), operator.index(d)
+        except TypeError:
+            raise ValueError(f"QuadInt({u!r}, {v!r}, {d!r}): not integers") from None
         if d not in QUADRATIC_DS:
             raise ValueError(f"unsupported quadratic ring d={d}")
         if not _parity_ok(u, v, d):
             raise ValueError(
                 f"({u} + {v}*sqrt({d}))/2 is not integral in this ring"
             )
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "d", d)
+        _set_u(self, u)
+        _set_v(self, v)
+        _set_d(self, d)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("QuadInt is immutable")
@@ -151,7 +169,7 @@ class QuadInt:
         return (self.u * self.u - self.d * self.v * self.v) // 4
 
     def conj(self) -> "QuadInt":
-        return QuadInt(self.u, -self.v, self.d)
+        return _unchecked(self.u, -self.v, self.d)
 
     def is_zero(self) -> bool:
         return self.u == 0 and self.v == 0
@@ -167,7 +185,7 @@ class QuadInt:
                 raise ValueError(f"mixing rings d={self.d} and d={other.d}")
             return other
         if isinstance(other, int):
-            return QuadInt(2 * other, 0, self.d)
+            return _unchecked(2 * other, 0, self.d)
         return None
 
     def __add__(self, other: object) -> "QuadInt":
@@ -175,19 +193,19 @@ class QuadInt:
         if w is None:
             return NotImplemented
         RING_OPS.tick()
-        return QuadInt(self.u + w.u, self.v + w.v, self.d)
+        return _unchecked(self.u + w.u, self.v + w.v, self.d)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QuadInt":
-        return QuadInt(-self.u, -self.v, self.d)
+        return _unchecked(-self.u, -self.v, self.d)
 
     def __sub__(self, other: object) -> "QuadInt":
         w = self._coerce(other)
         if w is None:
             return NotImplemented
         RING_OPS.tick()
-        return QuadInt(self.u - w.u, self.v - w.v, self.d)
+        return _unchecked(self.u - w.u, self.v - w.v, self.d)
 
     def __rsub__(self, other: object) -> "QuadInt":
         w = self._coerce(other)
@@ -203,7 +221,7 @@ class QuadInt:
         # Both numerators are even: check parities case by case on d mod 4.
         uu = (self.u * w.u + self.d * self.v * w.v) // 2
         vv = (self.u * w.v + self.v * w.u) // 2
-        return QuadInt(uu, vv, self.d)
+        return _unchecked(uu, vv, self.d)
 
     __rmul__ = __mul__
 
@@ -234,6 +252,21 @@ class QuadInt:
 
     def __repr__(self) -> str:
         return f"QuadInt({self.u}, {self.v}, d={self.d})"
+
+
+_new = object.__new__
+_set_u, _set_v, _set_d = (QuadInt.__dict__[name].__set__ for name in QuadInt.__slots__)
+
+
+def _unchecked(u: int, v: int, d: int) -> QuadInt:
+    """QuadInt(u, v, d) for Python-int coordinates already known to be a
+    ring element: results of ring operations on valid elements, and
+    quotients and roots built with the ring's parity."""
+    z = _new(QuadInt)
+    _set_u(z, u)
+    _set_v(z, v)
+    _set_d(z, d)
+    return z
 
 
 _UNIT_COORDS = {
@@ -302,7 +335,7 @@ def quad_div(a: QuadInt, b: QuadInt) -> DivResult:
     step = 2 if d in (-1, -2) else 1
     t = step * _round_half_down(w.v, step * n)
     s = _round_to_parity(w.u, n, t & 1)
-    q = QuadInt(s, t, d)
+    q = _unchecked(s, t, d)  # s has t's parity, and t is even for d = -1, -2
     r = a - q * b
     num, den = DIV_NORM_BOUND[d]
     if den * r.normsq() > num * n:
@@ -371,7 +404,7 @@ def quad_sqrt(w: QuadInt) -> QuadInt | None:
     for cand_v in (zv, -zv):
         if not _parity_ok(zu, cand_v, w.d):
             continue
-        z = QuadInt(zu, cand_v, w.d)
+        z = _unchecked(zu, cand_v, w.d)
         if z * z == w:
             return z
     return None
@@ -437,8 +470,14 @@ def exact_div(a, b, ring: RingId):
     """Quotient a/b when division is exact in the ring, else None.
 
     For polynomials exactness means zero remainder in Q[x]; callers that
-    need a Z[x] cofactor must additionally check is_integral().
+    need a Z[x] cofactor must additionally check is_integral().  In Z an
+    exact quotient is the same under every rounding rule, so floor division
+    decides it, at one tick like ring_div.
     """
+    if ring.is_int:
+        q, r = divmod(a, b)  # ZeroDivisionError for b = 0, before the tick
+        RING_OPS.tick()
+        return q if not r else None
     q, r = ring_div(a, b, ring)
     return q if not r else None
 

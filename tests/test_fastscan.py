@@ -8,10 +8,11 @@ from resdiv.algorithms import find_divisors
 from resdiv.base import InvalidInstanceError
 from resdiv.bench import sample_instance
 from resdiv.fastscan import (
-    _disc_sq,
+    _class_table,
     _mod_small,
     _quad_row,
     _split_primes,
+    _squares,
     fast_row_candidates,
     get_pool,
 )
@@ -88,13 +89,16 @@ def test_pool_class_index_matches_coordinates():
     rng = random.Random(2)
     for d in (-1,) + GENERAL_DS:
         pool = get_pool(d, 4)
+        assert pool.slices[0].start == 0 and pool.slices[-1].stop == pool.plus.size
         for k, p in enumerate(pool.primes):
             assert pool.cls[k].dtype == np.int16
             assert (pool.cls[k] == (pool.lu % p) * p + pool.lv % p).all()
+            assert pool.slices[k].stop - pool.slices[k].start == p * p
             E, F, G = (rand_quad(rng, d, 1, 10**12) for _ in range(3))
-            full = _disc_sq(E, F, G, pool, k, np.arange(p * p))
+            full = _class_table(_squares(E, F, G, pool), pool, k)
+            assert full.shape == (p * p,)
             some = np.array(rng.sample(range(p * p), 40), dtype=np.int16)
-            assert (_disc_sq(E, F, G, pool, k, some) == full[some]).all()
+            assert (full.take(some) == full[some]).all()
 
 
 def _is_square_mod(z, p):
@@ -126,7 +130,7 @@ def test_disc_sq_matches_component_squareness():
             assert max(abs(E.u), abs(F.u), abs(G.u)) > 1 << 63
             s = next(z for z in range(1, p) if z * z % p == d % p)
             half = pow(2, -1, p)
-            got = _disc_sq(E, F, G, pool, k, np.arange(p * p)).tolist()
+            got = _class_table(_squares(E, F, G, pool), pool, k).tolist()
             want = []
             for cu in range(p):
                 for cv in range(p):
@@ -146,9 +150,10 @@ def test_disc_sq_matches_component_squareness():
 
 def test_quad_row_matches_discriminant_reference():
     # every pool point whose D(lam) is a square in both F_p components for
-    # all eight primes, in pool order, and no other; each pool exceeds the
-    # first prime's p^2 classes, so the per-class table runs first and the
-    # survivor-only evaluation after it
+    # all eight primes, in pool order, and no other; each pool holds more
+    # points than the first prime has classes, and some rows leave no more
+    # survivors than the second prime has classes, so the class tables are
+    # gathered at more points than they hold and at fewer
     rng = random.Random(79)
     for d, rb in ((-1, 8), (-2, 12), (-3, 8), (-7, 14), (-11, 16)):
         pool = get_pool(d, rb)

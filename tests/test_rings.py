@@ -1,5 +1,7 @@
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from resdiv.rings import (
     RING_ZI,
     RING_ZX,
     QuadInt,
+    _parity_ok,
     canonical_associate,
     coerce_element,
     exact_div,
@@ -59,6 +62,78 @@ def test_parity_validation():
         QuadInt(1, 0, -1)  # no half-integers outside d = 1 mod 4
     with pytest.raises(ValueError):
         QuadInt(1, 1, -2)
+
+
+def test_constructor_takes_only_integer_coordinates():
+    # floats and Fractions are refused, even integral ones; numpy integers
+    # become Python ints, so products never wrap at 2^63
+    for bad in (2.0, Fraction(4, 2)):
+        with pytest.raises(ValueError):
+            QuadInt(bad, 0, -1)
+        with pytest.raises(ValueError):
+            QuadInt(0, bad, -1)
+    with pytest.raises(ValueError):
+        QuadInt(2, 0, -1.0)
+    z = QuadInt(np.int64(2**40), np.int64(2**40), np.int64(-1))
+    assert (type(z.u), type(z.v), type(z.d)) == (int, int, int)
+    cube = z * z * z
+    assert cube == QuadInt(-(2**119), 2**119, -1)  # (2^39*(1+i))^3
+    assert cube.normsq() == 2**237
+
+
+def _coords(d, a, b):
+    """Doubled coordinates of the ring's parity from any two integers."""
+    if d % 4 == 1:
+        return a, a + 2 * b
+    return 2 * a, 2 * b
+
+
+def _tick_count(fn):
+    before = RING_OPS.ops
+    out = fn()
+    return out, RING_OPS.ops - before
+
+
+def _valid(z, d):
+    return (type(z.u) is int and type(z.v) is int and z.d == d
+            and _parity_ok(z.u, z.v, d) and z == QuadInt(z.u, z.v, d))
+
+
+BIG = st.integers(-(2**200), 2**200)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ALL_D), BIG, BIG, BIG, BIG, BIG)
+def test_unchecked_results_are_valid_elements(d, a1, a2, b1, b2, n):
+    # every arithmetic result is built without validation: it must be the
+    # element the validating constructor builds, and tick as many ring
+    # operations as each operation always has
+    x, y = QuadInt(*_coords(d, a1, a2), d), QuadInt(*_coords(d, b1, b2), d)
+    cases = [
+        (lambda: x + y, 1), (lambda: x - y, 1), (lambda: x * y, 1),
+        (lambda: -x, 0), (lambda: x.conj(), 0),
+        (lambda: x + n, 1), (lambda: n + x, 1), (lambda: x - n, 1),
+        (lambda: n - x, 1), (lambda: x * n, 1), (lambda: n * x, 1),
+    ]
+    for fn, ticks in cases:
+        z, used = _tick_count(fn)
+        assert _valid(z, d) and used == ticks
+    assert x + n == x + QuadInt(2 * n, 0, d) and n - x == QuadInt(2 * n, 0, d) - x
+    if y:
+        (q, r), used = _tick_count(lambda: quad_div(x, y))
+        assert _valid(q, d) and _valid(r, d) and used == 4
+        assert q * y + r == x
+    w = x * x
+    root, used = _tick_count(lambda: quad_sqrt(w))
+    assert root is not None and _valid(root, d) and root * root == w
+    # its own tick, three int_sqrt ticks (the norm and both coordinates),
+    # then one squaring per sign of v tried, +v first
+    assert used == (1 if not w else 5 if root.v >= 0 else 6)
+    other = QuadInt(2, 0, ALL_D[(ALL_D.index(d) + 1) % len(ALL_D)])
+    for fn in (lambda: x + other, lambda: x - other, lambda: x * other,
+               lambda: other - x, lambda: quad_div(x, other)):
+        with pytest.raises(ValueError):
+            fn()
 
 
 def test_whole_coordinate_helpers():
@@ -301,6 +376,21 @@ def test_exact_div():
     assert exact_div(QuadInt.from_parts(5, 1, -1),
                      QuadInt.from_parts(1, 2, -1), RING_ZI) is None
     assert exact_div(Poly([-1, 0, 1]), Poly([1, 1]), RING_ZX) == Poly([-1, 1])
+
+
+def test_integer_exact_div():
+    # exact quotients by floor division: one tick per call, whatever the
+    # signs, and the quotient ring_div's nearest rounding gives
+    rng = random.Random(19)
+    for _ in range(2000):
+        b = rng.choice([-1, 1]) * rng.randint(1, 10**6)
+        a = b * rng.randint(-(10**6), 10**6) + rng.choice([0, 0, rng.randint(-(10**6), 10**6)])
+        q, r = ring_div(a, b, RING_Z)
+        got, used = _tick_count(lambda: exact_div(a, b, RING_Z))
+        assert got == (q if r == 0 else None) and used == 1
+    assert exact_div(0, -7, RING_Z) == 0
+    with pytest.raises(ZeroDivisionError):
+        exact_div(5, 0, RING_Z)
 
 
 def test_ring_sqrt_dispatch():

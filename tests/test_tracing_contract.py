@@ -8,6 +8,7 @@ from conftest import perfbench_module
 
 from resdiv import algorithms, families
 from resdiv.bench import sample_instance
+from resdiv.fastscan import get_pool
 from resdiv.remseq import build_instance
 from resdiv.rings import RING_Z
 
@@ -36,6 +37,11 @@ def test_count_hooks_run_on_every_kind_of_search():
     for name in ("fastscan.rows", "fastscan.row_points", "solver.solve_calls",
                  "remseq.chain_rows", "families.checked"):
         assert tracer.counts[name] > 0, name
+    # one fast_row_candidates call per Z[i] chain row, each over the whole
+    # pool (Z searches use no pool)
+    assert tracer.counts["fastscan.rows"] == zi.stats["t"]
+    assert (tracer.counts["fastscan.row_points"]
+            == tracer.counts["fastscan.rows"] * get_pool(-1).lu.size)
     assert len(tracer.start) > 0
     after = [getattr(module, attr) for module, attr, _, _ in tracing.PATCHES]
     assert all(a is b for a, b in zip(after, before))
