@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from operator import index
 
 from . import fastscan
 from .remseq import ProblemInstance, build_chain, build_instance
 from .rings import RING_Z, RING_ZX, Element, RingId, exact_div
 from .solver import (
     FinalRow,
+    InstanceTerms,
     RowSystem,
     candidate_radius,
     enumerate_residues,
@@ -95,7 +97,9 @@ def find_divisors(
     pool) or "exact" (the reference disk walk; only sensible at a reduced
     rbound outside the Gaussian ring).  Both feed the same exact solver
     and report identically.  rbound overrides candidate_radius in Z and
-    in the quadratic rings.
+    in the quadratic rings; it must be an integer >= 0 (ValueError
+    otherwise), as the pools and shift lists of step 2 below are defined
+    only there.
 
     Z finds exactly the real divisors that the Gaussian search of the same
     numbers finds, each in the same chain row:
@@ -117,9 +121,23 @@ def find_divisors(
     """
     if engine not in ("fast", "exact"):
         raise ValueError(f"unknown engine {engine!r}")
+    if rbound is None:
+        radius = candidate_radius(inst.ring.d)
+    else:
+        try:
+            radius = index(rbound)
+        except TypeError:
+            raise ValueError(f"rbound {rbound!r} is not an integer") from None
+        if radius < 0:
+            raise ValueError(f"rbound {rbound!r} is negative")
     t0 = time.perf_counter()
     ring = inst.ring
     chain = build_chain(inst)
+    if chain.t > 1:
+        # the search forms the row terms its quadratic rows share, and lets
+        # them go at its end: no work, ring operation or memory carries over
+        # from one call to the next
+        inst.hold_terms(InstanceTerms(inst))
     found: dict[Element, Witness] = {}
     ncand = nacc = nroots = 0
 
@@ -128,7 +146,6 @@ def find_divisors(
         found.setdefault(dv, (pair.x, pair.y, (0, j)))
         nacc += 1
 
-    radius = rbound if rbound is not None else candidate_radius(ring.d)
     pool = shifts = None
     if ring.is_quad and engine == "fast":
         pool = fastscan.get_pool(ring.d, radius)
@@ -159,6 +176,7 @@ def find_divisors(
                 j += 1
                 nacc += 1
 
+    inst.hold_terms(None)
     _verify_report(inst, found)
     divisors = tuple(sorted(found, key=_sort_key(ring)))
     stats = {

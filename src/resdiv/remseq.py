@@ -21,9 +21,10 @@ integer numerators over one denominator (polynomials.Poly).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 from operator import index
+from typing import TYPE_CHECKING
 
 from .base import InvalidInstanceError
 from .polynomials import Poly
@@ -41,6 +42,9 @@ from .rings import (
     ring_zero,
 )
 
+if TYPE_CHECKING:
+    from .solver import InstanceTerms
+
 
 @dataclass(frozen=True)
 class ProblemInstance:
@@ -52,7 +56,10 @@ class ProblemInstance:
     failing it are still processed, only the completeness/run-time guarantee
     lapses.  lead_list is the Z[x] leading-coefficient list: the signed
     divisors of lead(N)/lead(S)^2, empty when that quotient is not an
-    integer, None for non-polynomial rings.
+    integer, None for non-polynomial rings.  terms is the instance's share
+    of every row quadratic (solver.InstanceTerms): formed on first use
+    unless held (hold_terms); a search (find_divisors) holds its own from
+    its start to its end.
     """
 
     ring: RingId
@@ -63,6 +70,20 @@ class ProblemInstance:
     rinv: Element
     lead_list: tuple[int, ...] | None
     gate_ok: bool
+    # a field rather than a key added later, which would slow every
+    # attribute read on the instance (the dict would no longer share keys)
+    _terms: InstanceTerms | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def terms(self) -> InstanceTerms:
+        if self._terms is None:
+            from .solver import InstanceTerms  # solver imports this module
+
+            self.hold_terms(InstanceTerms(self))
+        return self._terms
+
+    def hold_terms(self, terms: InstanceTerms | None) -> None:
+        object.__setattr__(self, "_terms", terms)
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,13 @@ quadratic rings and in Z[x], and in any commutative ring the formulas are
 evaluated in.  fastscan sieves D(lam) for squareness modulo small primes
 over its lam pool.
 
+Seven products in these formulas depend on the instance alone: S^2, S*r,
+S*r', r*r' - N, S^3, E = S^6 and S*(S*r).  A search forms them once
+(InstanceTerms, held as ProblemInstance.terms while it runs), so a row
+forms only the products with a, b or c in them (_row_terms,
+_disc_coeffs), and its solves read the same terms.  That is one formula
+in every ring: the Z[x] shift tests apply it to integer images (RowSystem).
+
 Shift tests in Z and Z[x].  There a row's shifts are integers n over the
 row's denominator m (lam = n/m; m = 1 in Z, shift_denominator), and each
 is tested on the row's scalar images before gamma is built: the numbers
@@ -216,22 +223,54 @@ def _horner(p: Poly, x0: int) -> int:
     return acc
 
 
-def _row_terms(S, r, rp, N, a, b):
-    """(S^2, S*r, A2, 4*A2, beta, delta) of a row (a, b, .): at any
-    gamma, A1 = S^2*gamma + beta and A0 = S*r*gamma + delta."""
+def _instance_terms(S, r, rp, N):
+    """(S^2, S*r, S*r', r*r' - N, S^3, S^6, S*(S*r)): the products of the
+    row quadratic that depend on the instance alone."""
     s2 = S * S
     sr = S * r
-    a2 = -(s2 * a)
-    return s2, sr, a2, 4 * a2, S * rp * b - sr * a, b * (r * rp - N)
-
-
-def _disc_coeffs(S, c, terms):
-    """(E, F, G) with D(lam) = E*lam^2 + F*lam + G the discriminant at
-    gamma = c + lam*S, from _row_terms."""
-    s2, sr, _, a2x4, beta, delta = terms
-    a1 = s2 * c + beta
     s3 = s2 * S
-    return s3 * s3, 2 * (a1 * s3) - a2x4 * (S * sr), a1 * a1 - a2x4 * (sr * c + delta)
+    return s2, sr, S * rp, r * rp - N, s3, s3 * s3, S * sr
+
+
+def _row_terms(terms, a, b):
+    """(S^2, S*r, A2, 4*A2, beta, delta) of a row (a, b, .) from the
+    instance's _instance_terms: at any gamma, A1 = S^2*gamma + beta and
+    A0 = S*r*gamma + delta."""
+    s2, sr, srp, rrp_n, _, _, _ = terms
+    a2 = -(s2 * a)
+    return s2, sr, a2, 4 * a2, srp * b - sr * a, b * rrp_n
+
+
+def _disc_coeffs(c, terms, row):
+    """(E, F, G) with D(lam) = E*lam^2 + F*lam + G the discriminant at
+    gamma = c + lam*S, from _instance_terms and _row_terms."""
+    _, _, _, _, s3, e, ssr = terms
+    s2, sr, _, a2x4, beta, delta = row
+    a1 = s2 * c + beta
+    return e, 2 * (a1 * s3) - a2x4 * ssr, a1 * a1 - a2x4 * (sr * c + delta)
+
+
+class InstanceTerms:
+    """An instance's share of every row quadratic (ProblemInstance.terms).
+
+    ring is _instance_terms(S, r, r', N) in the instance's ring.  images
+    holds the same products on each scalar image of the instance
+    (RowSystem): ring itself in Z; in Z[x], per x0 in _EVAL_POINTS, those
+    of the values at x0 of S, r and r' times scale, the lcm of their and
+    N's denominators, and of N times scale^2, all integers.  scale is 1
+    outside Z[x].
+    """
+
+    def __init__(self, inst: ProblemInstance):
+        xs = (inst.S, inst.r, inst.rPrime, inst.N)
+        self.ring = _instance_terms(*xs)
+        self.scale, self.images = 1, [self.ring]
+        if inst.ring.is_poly:
+            L = self.scale = lcm(*(p.den for p in xs))
+            scale = [L // p.den for p in xs]
+            scale[3] *= L  # N, of degree 2
+            self.images = [_instance_terms(*(_horner(p, x0) * w for p, w in zip(xs, scale)))
+                           for x0 in _EVAL_POINTS]
 
 
 class _ShiftRow:
@@ -267,53 +306,57 @@ class RowSystem(_ShiftRow):
 
     solve(gamma) solves at any gamma in c's class mod S, from the
     gamma-free parts of A2, A1 and A0 (module docstring), built on first
-    solve.  coeffs() gives E, F and G, from which fastscan sieves its pool.
+    use from the instance's terms.  coeffs() gives E, F and G, from which
+    fastscan sieves its pool.
 
     In Z and Z[x], keep(shifts) requires D(n/m) to be a rational square (0
     included) at every image.  On an image the row's inputs are scalars,
     and E, F and G come from the same formulas on them, so no polynomial
-    is expanded.  There S, r, r', a, b and c are taken times L, the lcm of
-    the denominators of r', a, b and c (L = 1 in Z), and N times L^2, all
-    integers.  Every formula is homogeneous of degree 6 in these inputs (N
-    counting twice), so it gives integers (e, f, g) = L^6*(E, F, G).  With
-    k = gcd(L^6, e, f, g), den = L^6/k is the least common denominator of
-    E, F and G, and D(n/m) is a rational square exactly when
-    (e'*n + f')*n + g' = den^2*m^2*D(n/m) is an integer square, with
-    (e', f', g') = (e/k*den, f/k*den*m, g/k*den*m^2) folded once per row:
-    one isqrt per image.  In Z that is (E*n + F)*n + G itself.  D = h^2 in
-    the ring gives D(x0) = h(x0)^2 at every image, so a rejected shift has
-    no root for the solver to find.
+    is expanded.  There the instance's S, r and r' are taken times l0 and
+    N times l0^2 (InstanceTerms.scale and .images, formed once per
+    search), and the row's a, b and c times L, the lcm of their
+    denominators (l0 = L = 1 in Z), all integers.  E, F and G are
+    homogeneous of degrees 6, 5 and 4 in the instance's inputs (N counting
+    twice) and 0, 1 and 2 in the row's, so the formulas give integers
+    l0^6*E, l0^5*L*F and l0^4*L^2*G, and times L^2, l0*L and l0^2
+    (e, f, g) = w*(E, F, G) with w = (l0^3*L)^2.  With k = gcd(w, e, f, g),
+    den = w/k is the least common denominator of E, F and G, and D(n/m) is
+    a rational square exactly when (e'*n + f')*n + g' = den^2*m^2*D(n/m)
+    is an integer square, with (e', f', g') = (e/k*den, f/k*den*m,
+    g/k*den*m^2) folded once per row: one isqrt per image.  In Z that is
+    (E*n + F)*n + G itself.  D = h^2 in the ring gives D(x0) = h(x0)^2 at
+    every image, so a rejected shift has no root for the solver to find.
     """
 
     @cached_property
     def _terms(self):
-        inst = self.inst
-        return _row_terms(inst.S, inst.r, inst.rPrime, inst.N, self.a, self.b)
+        return _row_terms(self.inst.terms.ring, self.a, self.b)
 
     @cached_property
     def _folded(self) -> list[tuple[int, int, int]]:
         """(e', f', g') per image (class docstring)."""
         inst, m = self.inst, self.m
-        xs = (inst.S, inst.r, inst.rPrime, inst.N, self.a, self.b, self.c)
+        terms = inst.terms
+        xs = (self.a, self.b, self.c)
         if inst.ring.is_poly:
-            L = lcm(inst.rPrime.den, self.a.den, self.b.den, self.c.den)
-            scale = [L // p.den for p in xs]
-            scale[3] *= L  # N, of degree 2
-            images = [[_horner(p, x0) * w for p, w in zip(xs, scale)] for x0 in _EVAL_POINTS]
+            L = lcm(*(p.den for p in xs))
+            rows = [[_horner(p, x0) * (L // p.den) for p in xs] for x0 in _EVAL_POINTS]
         else:
-            L, images = 1, [xs]
-        l6 = L**6
+            L, rows = 1, [xs]
+        l0 = terms.scale
+        w = (l0**3 * L) ** 2
         out = []
-        for S, r, rp, N, a, b, c in images:
-            e, f, g = _disc_coeffs(S, c, _row_terms(S, r, rp, N, a, b))
-            k = gcd(l6, e, f, g)
-            den = l6 // k
+        for t, (a, b, c) in zip(terms.images, rows):
+            e, f, g = _disc_coeffs(c, t, _row_terms(t, a, b))
+            e, f, g = e * L * L, f * l0 * L, g * l0 * l0
+            k = gcd(w, e, f, g)
+            den = w // k
             out.append((e // k * den, f // k * den * m, g // k * den * m * m))
         return out
 
     def coeffs(self):
         """(E, F, G) with D(lam) = E*lam^2 + F*lam + G."""
-        return _disc_coeffs(self.inst.S, self.c, self._terms)
+        return _disc_coeffs(self.c, self.inst.terms.ring, self._terms)
 
     def disc(self, gamma):
         """The discriminant A1^2 - 4*A2*A0 at gamma."""

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from conftest import family_triples, plant_poly, plant_quad, plant_rational, sqrt_rational
 
@@ -187,6 +188,29 @@ def test_engine_validation():
         find_divisors(inst, engine="auto")  # the old alias of "fast"
     with pytest.raises(ValueError):
         divisors_quadratic(RING_Z, 12, 5, 1)
+
+
+def test_negative_rbound_rejected():
+    # a negative radius would still give the Gaussian pool a disk of
+    # 4*(rbound + 2)^2 (49 points at -6) while Z sweeps only lam = 0
+    for inst in (build_instance(RING_Z, 12, 5, 1), build_instance(RING_ZI, 12, 5, 1)):
+        for engine in ("fast", "exact"):
+            for rbound in (-1, -6):
+                with pytest.raises(ValueError, match="negative"):
+                    find_divisors(inst, rbound=rbound, engine=engine)
+    assert (-1, -6) not in fastscan._POOLS
+    assert find_divisors(build_instance(RING_Z, 12, 5, 1), rbound=0).divisors == (-4, 1, 6)
+
+
+def test_non_integer_rbound_rejected():
+    inst = build_instance(RING_ZI, 12, 5, 1)
+    for rbound in (2.5, 2.0, Fraction(5, 2), "3"):
+        with pytest.raises(ValueError, match="not an integer"):
+            find_divisors(inst, rbound=rbound)
+    with pytest.raises(ValueError, match="not an integer"):
+        find_divisors(build_instance(RING_Z, 12, 5, 1), rbound=2.5)
+    want = find_divisors(inst, rbound=3).divisors
+    assert find_divisors(inst, rbound=np.int64(3)).divisors == want
 
 
 def test_quadratic_report_sorted_and_verified():

@@ -1,18 +1,22 @@
 import random
-from math import isqrt
+from math import isqrt, prod
 
 import numpy as np
 from conftest import GENERAL_DS, plant_quad, rand_quad, rand_quad_disk
 
+from resdiv import fastscan
 from resdiv.algorithms import find_divisors
 from resdiv.base import InvalidInstanceError
 from resdiv.bench import sample_instance
 from resdiv.fastscan import (
+    _DENSE_POINTS,
     _class_table,
     _mod_small,
+    _Pool,
     _quad_row,
     _split_primes,
     _squares,
+    _survivors,
     fast_row_candidates,
     get_pool,
 )
@@ -148,15 +152,57 @@ def test_disc_sq_matches_component_squareness():
             assert got == want
 
 
-def test_quad_row_matches_discriminant_reference():
+# per ring, a radius whose pool is just past _DENSE_POINTS
+_LOOP_RADIUS = {-1: 36, -2: 42, -3: 34, -7: 40, -11: 46}
+
+
+def test_survivors_match_class_tables_at_every_point():
+    # both sieve paths keep exactly the points at which every prime's class
+    # table, gathered prime by prime at every point, holds, in pool order;
+    # pools on both sides of _DENSE_POINTS in every ring.  D is
+    # (alpha*lam + beta)^2 + M*rho with coordinates near 10^40, so it is a
+    # square mod the primes dividing M and survivors thin out prime by
+    # prime, from the whole pool (M the product of all eight) to the rare
+    # ones of a D without that shape
+    rng = random.Random(82)
+    for d in (-1,) + GENERAL_DS:
+        for rb in (4, _LOOP_RADIUS[d]):
+            pool = get_pool(d, rb)
+            assert (pool.dense is None) == (pool.lu.size > _DENSE_POINTS)
+            assert (pool.dense is None) == (rb > 4)
+            for drop in (0, 1, 2, 4, 8):
+                alpha, beta, rho = (rand_quad(rng, d, 10**39, 10**41) for _ in range(3))
+                M = prod(rng.sample(pool.primes, 8 - drop))
+                E, F, G = alpha * alpha, 2 * alpha * beta, beta * beta + M * rho
+                assert max(abs(E.u), abs(F.u), abs(G.u)) > 1 << 63
+                ok = _squares(E, F, G, pool)
+                per_prime = [_class_table(ok, pool, k).take(cls)
+                             for k, cls in enumerate(pool.cls)]
+                want = np.flatnonzero(np.all(per_prime, axis=0))
+                assert _survivors(ok, pool).tolist() == want.tolist()
+                if drop == 0:
+                    assert want.size == pool.lu.size
+                if pool.dense is not None:
+                    for k, hit in enumerate(per_prime):
+                        dense_hit = ok.take(pool.dense[k]) & ok.take(pool.dense[8 + k])
+                        assert (dense_hit == hit).all()
+
+
+def test_quad_row_matches_discriminant_reference(monkeypatch):
     # every pool point whose D(lam) is a square in both F_p components for
-    # all eight primes, in pool order, and no other; each pool holds more
-    # points than the first prime has classes, and some rows leave no more
-    # survivors than the second prime has classes, so the class tables are
-    # gathered at more points than they hold and at fewer
+    # all eight primes, in pool order, and no other, by both sieve paths:
+    # the pool as built (dense, as every pool here is small) and the same
+    # pool built with _DENSE_POINTS zeroed (class tables); each pool holds
+    # more points than the first prime has classes, and some rows leave no
+    # more survivors than the second prime has classes, so the class-table
+    # path gathers its tables at more points than they hold and at fewer
     rng = random.Random(79)
     for d, rb in ((-1, 8), (-2, 12), (-3, 8), (-7, 14), (-11, 16)):
         pool = get_pool(d, rb)
+        with monkeypatch.context() as m:
+            m.setattr(fastscan, "_DENSE_POINTS", 0)
+            loop_pool = _Pool(d, rb)
+        assert pool.dense is not None and loop_pool.dense is None
         assert pool.lu.size > pool.primes[0] ** 2
         roots = [next(z for z in range(1, p) if z * z % p == d % p) for p in pool.primes]
         lams = [QuadInt(u, v, d) for u, v in zip(pool.lu.tolist(), pool.lv.tolist())]
@@ -187,6 +233,7 @@ def test_quad_row_matches_discriminant_reference():
                     if all(ok):
                         expected.append(c + lam * S)
                 assert _quad_row(a, b, c, inst, pool) == expected
+                assert _quad_row(a, b, c, inst, loop_pool) == expected
                 survivor_rows += 0 < first <= pool.primes[1] ** 2
         assert survivor_rows
 

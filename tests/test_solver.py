@@ -23,7 +23,16 @@ from resdiv.base import InvalidInstanceError
 from resdiv.polynomials import Poly
 from resdiv.oracle import oracle_poly
 from resdiv.remseq import build_chain, build_instance
-from resdiv.rings import RING_Z, RING_ZX, QuadInt, exact_div, int_sqrt, quad_ring, reduce_mod
+from resdiv.rings import (
+    RING_Z,
+    RING_ZX,
+    QuadInt,
+    exact_div,
+    int_sqrt,
+    quad_ring,
+    reduce_mod,
+    ring_sqrt,
+)
 from resdiv.solver import (
     _EVAL_POINTS,
     FinalRow,
@@ -363,6 +372,106 @@ def test_row_discriminant_matches_per_gamma():
     rings = {"z", "zi", "zx"} | {quad_ring(d).name for d in GENERAL_DS}
     assert set(planted) == rings
     assert min(planted.values()) >= 4, planted
+
+
+# reference: every product of the row quadratic formed on the row, from
+# S, r, r' and N themselves
+
+def _ref_row_terms(S, r, rp, N, a, b):
+    s2 = S * S
+    sr = S * r
+    a2 = -(s2 * a)
+    return s2, sr, a2, 4 * a2, S * rp * b - sr * a, b * (r * rp - N)
+
+
+def _ref_disc_coeffs(S, c, terms):
+    s2, sr, _, a2x4, beta, delta = terms
+    a1 = s2 * c + beta
+    s3 = s2 * S
+    return s3 * s3, 2 * (a1 * s3) - a2x4 * (S * sr), a1 * a1 - a2x4 * (sr * c + delta)
+
+
+def _ref_folded(row):
+    inst, m = row.inst, row.m
+    xs = (inst.S, inst.r, inst.rPrime, inst.N, row.a, row.b, row.c)
+    if inst.ring.is_poly:
+        L = math.lcm(inst.rPrime.den, row.a.den, row.b.den, row.c.den)
+        scale = [L // p.den for p in xs]
+        scale[3] *= L
+        images = [[_horner(p, x0) * w for p, w in zip(xs, scale)] for x0 in _EVAL_POINTS]
+    else:
+        L, images = 1, [xs]
+    l6 = L**6
+    out = []
+    for S, r, rp, N, a, b, c in images:
+        e, f, g = _ref_disc_coeffs(S, c, _ref_row_terms(S, r, rp, N, a, b))
+        k = math.gcd(l6, e, f, g)
+        den = l6 // k
+        out.append((e // k * den, f // k * den * m, g // k * den * m * m))
+    return out
+
+
+def _ref_solve(row, gamma):
+    inst, ring = row.inst, row.inst.ring
+    s2, sr, a2, a2x4, beta, delta = _ref_row_terms(inst.S, inst.r, inst.rPrime, inst.N,
+                                                   row.a, row.b)
+    a1 = s2 * gamma + beta
+    disc = a1 * a1 - a2x4 * (sr * gamma + delta)
+    root = ring_sqrt(disc, ring)
+    out = []
+    if root is None:
+        return disc, out
+    for signed in (root, -root):
+        x = exact_div(-a1 + signed, 2 * a2, ring)
+        if x is None:
+            continue
+        y = exact_div(gamma - row.a * x, row.b, ring)
+        if y is None:
+            continue
+        pair = solver._accept(x, y, inst)
+        if pair and pair not in out:
+            out.append(pair)
+    return disc, out
+
+
+def test_instance_terms_match_row_reference(z_corpus, zi_corpus, general_corpora, poly_corpus):
+    # the instance's share of the row quadratic, formed once per instance,
+    # gives exactly the E, F, G, discriminants, folded images and solutions
+    # of forming every product on each row; gammas at the row's c, at a few
+    # shifts and at the planted pair's a*x + b*y, which every row solves
+    rng = random.Random(39)
+    cases = []
+    for n, s, r, dv in z_corpus:
+        inst = build_instance(RING_Z, n, s, r)
+        cases.append((inst, ((dv - inst.r) // s, (n // dv - inst.rPrime) // s)))
+    cases += zi_corpus + general_corpora[-2] + poly_corpus
+    rows = solved = 0
+    rings = set()
+    for inst, (x, y) in cases:
+        ring, S = inst.ring, inst.S
+        chain = build_chain(inst)
+        for k in range(1, chain.t):
+            a, b, c = chain.a[k], chain.b[k], chain.c[k]
+            row = RowSystem(a, b, c, inst)
+            assert row.coeffs() == _ref_disc_coeffs(
+                S, c, _ref_row_terms(S, inst.r, inst.rPrime, inst.N, a, b))
+            if ring.is_quad:
+                lams = [0, rand_quad_disk(rng, ring.d, 100)]
+            else:
+                assert row._folded == _ref_folded(row)
+                if ring.is_poly:
+                    lams = [Fraction(n, row.m) for n in poly_rhs_candidates(a, b, inst)[:3]]
+                else:
+                    lams = [0, rng.randint(-14, 14)]
+            for gamma in [c + lam * S for lam in lams] + [a * x + b * y]:
+                disc, pairs = _ref_solve(row, gamma)
+                assert row.disc(gamma) == disc
+                assert row.solve(gamma) == pairs
+                solved += bool(pairs)
+            rows += 1
+            rings.add(ring.name)
+    assert rings == {"z", "zi", "q-2", "zx"}
+    assert rows >= 3000 and solved >= rows
 
 
 # --- the shift tests on scalar images ----------------------------------------------

@@ -7,6 +7,7 @@ import random
 from conftest import perfbench_module
 
 from resdiv import algorithms, families
+from resdiv.base import RING_OPS
 from resdiv.bench import sample_instance
 from resdiv.fastscan import get_pool
 from resdiv.remseq import build_instance
@@ -38,10 +39,27 @@ def test_count_hooks_run_on_every_kind_of_search():
                  "remseq.chain_rows", "families.checked"):
         assert tracer.counts[name] > 0, name
     # one fast_row_candidates call per Z[i] chain row, each over the whole
-    # pool (Z searches use no pool)
+    # pool (Z searches use no pool), and the sieve's survivors are the
+    # search's candidates
     assert tracer.counts["fastscan.rows"] == zi.stats["t"]
+    assert tracer.counts["fastscan.candidates"] == zi.stats["candidates"]
     assert (tracer.counts["fastscan.row_points"]
             == tracer.counts["fastscan.rows"] * get_pool(-1).lu.size)
     assert len(tracer.start) > 0
     after = [getattr(module, attr) for module, attr, _, _ in tracing.PATCHES]
     assert all(a is b for a, b in zip(after, before))
+
+
+def test_repeated_search_counts_the_same():
+    # a traced benchmark run searches each item twice, once with spans and
+    # once without, and fails it unless both count the same ring operations
+    # and report the same; what one search caches in the instance must not
+    # change the next, nor stay behind (a timed run keeps every item)
+    inst = sample_instance(random.Random(6), 20)
+    runs = []
+    for _ in range(2):
+        RING_OPS.reset()
+        rep = algorithms.find_divisors(inst)
+        runs.append((RING_OPS.ops, rep.divisors, rep.stats["candidates"]))
+        assert inst._terms is None
+    assert runs[0] == runs[1] and runs[0][0] > 0
