@@ -73,6 +73,54 @@ def _sort_key(ring: RingId):
     return lambda dv: dv
 
 
+def _sweep(inst: ProblemInstance, chain, radius: int, engine: str):
+    """The two trivial checks and every chain row of find_divisors:
+    (found, candidates, roots, solves)."""
+    ring = inst.ring
+    found: dict[Element, Witness] = {}
+    ncand = nacc = nroots = 0
+
+    for j, pair in enumerate(trivial_divisor_check(inst)):
+        dv = inst.S * pair.x + inst.r
+        found.setdefault(dv, (pair.x, pair.y, (0, j)))
+        nacc += 1
+
+    pool = shifts = None
+    survivors = ()
+    if ring.is_quad and engine == "fast":
+        pool = fastscan.get_pool(ring.d, radius)
+        if chain.t > 1:
+            survivors = fastscan.sieve_rows(chain.triples[1:-1], inst, pool)
+    elif ring.is_int:
+        shifts = integer_shifts(radius)
+
+    for i in range(1, chain.t + 1):
+        a, b, c = chain.a[i], chain.b[i], chain.c[i]
+        row = RowSystem(a, b, c, inst) if i < chain.t else None
+        if ring.is_quad:
+            if pool is not None:
+                surv = survivors[i - 1] if row is not None else None
+                gammas = fastscan.fast_row_candidates(a, b, c, inst, pool, surv)
+            else:
+                gammas = enumerate_residues(c, inst.S, radius, ring)
+            ncand += len(gammas)
+        else:
+            if ring.is_poly:
+                shifts = poly_rhs_candidates(a, b, inst)
+            ncand += len(shifts)
+            gammas = (row or FinalRow(a, b, c, inst)).gammas(shifts)
+        if row is not None:
+            nroots += len(gammas)
+        j = 0
+        for gamma in gammas:
+            for pair in solve_system(a, b, gamma, inst, row):
+                dv = inst.S * pair.x + inst.r
+                found.setdefault(dv, (pair.x, pair.y, (i, j)))
+                j += 1
+                nacc += 1
+    return found, ncand, nroots, nacc
+
+
 def find_divisors(
     inst: ProblemInstance,
     *,
@@ -131,54 +179,18 @@ def find_divisors(
         if radius < 0:
             raise ValueError(f"rbound {rbound!r} is negative")
     t0 = time.perf_counter()
-    ring = inst.ring
     chain = build_chain(inst)
-    if chain.t > 1:
-        # the search forms the row terms its quadratic rows share, and lets
-        # them go at its end: no work, ring operation or memory carries over
-        # from one call to the next
-        inst.hold_terms(InstanceTerms(inst))
-    found: dict[Element, Witness] = {}
-    ncand = nacc = nroots = 0
-
-    for j, pair in enumerate(trivial_divisor_check(inst)):
-        dv = inst.S * pair.x + inst.r
-        found.setdefault(dv, (pair.x, pair.y, (0, j)))
-        nacc += 1
-
-    pool = shifts = None
-    if ring.is_quad and engine == "fast":
-        pool = fastscan.get_pool(ring.d, radius)
-    elif ring.is_int:
-        shifts = integer_shifts(radius)
-
-    for i in range(1, chain.t + 1):
-        a, b, c = chain.a[i], chain.b[i], chain.c[i]
-        row = RowSystem(a, b, c, inst) if i < chain.t else None
-        if ring.is_quad:
-            if pool is not None:
-                gammas = fastscan.fast_row_candidates(a, b, c, inst, pool)
-            else:
-                gammas = enumerate_residues(c, inst.S, radius, ring)
-            ncand += len(gammas)
-        else:
-            if ring.is_poly:
-                shifts = poly_rhs_candidates(a, b, inst)
-            ncand += len(shifts)
-            gammas = (row or FinalRow(a, b, c, inst)).gammas(shifts)
-        if row is not None:
-            nroots += len(gammas)
-        j = 0
-        for gamma in gammas:
-            for pair in solve_system(a, b, gamma, inst, row):
-                dv = inst.S * pair.x + inst.r
-                found.setdefault(dv, (pair.x, pair.y, (i, j)))
-                j += 1
-                nacc += 1
-
-    inst.hold_terms(None)
+    try:
+        if chain.t > 1:
+            # the search forms the row terms its quadratic rows share, and
+            # lets them go at its end, also when it raises: no work, ring
+            # operation or memory carries over from one call to the next
+            inst.hold_terms(InstanceTerms(inst))
+        found, ncand, nroots, nacc = _sweep(inst, chain, radius, engine)
+    finally:
+        inst.hold_terms(None)
     _verify_report(inst, found)
-    divisors = tuple(sorted(found, key=_sort_key(ring)))
+    divisors = tuple(sorted(found, key=_sort_key(inst.ring)))
     stats = {
         "t": chain.t,
         "quad_rows": chain.t - 1,

@@ -59,7 +59,7 @@ class ProblemInstance:
     integer, None for non-polynomial rings.  terms is the instance's share
     of every row quadratic (solver.InstanceTerms): formed on first use
     unless held (hold_terms); a search (find_divisors) holds its own from
-    its start to its end.
+    its start to its end, whether it returns or raises.
     """
 
     ring: RingId

@@ -32,7 +32,10 @@ S*r', r*r' - N, S^3, E = S^6 and S*(S*r).  A search forms them once
 (InstanceTerms, held as ProblemInstance.terms while it runs), so a row
 forms only the products with a, b or c in them (_row_terms,
 _disc_coeffs), and its solves read the same terms.  That is one formula
-in every ring: the Z[x] shift tests apply it to integer images (RowSystem).
+in every ring: the Z and Z[x] shift tests apply it to integer images
+(RowSystem), and fastscan.sieve_rows to the images of S, r, r', N and
+every row in F_p, as int64 arrays, so no search forms the exact E, F
+and G.
 
 Shift tests in Z and Z[x].  There a row's shifts are integers n over the
 row's denominator m (lam = n/m; m = 1 in Z, shift_denominator), and each
@@ -306,8 +309,7 @@ class RowSystem(_ShiftRow):
 
     solve(gamma) solves at any gamma in c's class mod S, from the
     gamma-free parts of A2, A1 and A0 (module docstring), built on first
-    use from the instance's terms.  coeffs() gives E, F and G, from which
-    fastscan sieves its pool.
+    use from the instance's terms, so only for a row with candidates.
 
     In Z and Z[x], keep(shifts) requires D(n/m) to be a rational square (0
     included) at every image.  On an image the row's inputs are scalars,
@@ -353,10 +355,6 @@ class RowSystem(_ShiftRow):
             den = w // k
             out.append((e // k * den, f // k * den * m, g // k * den * m * m))
         return out
-
-    def coeffs(self):
-        """(E, F, G) with D(lam) = E*lam^2 + F*lam + G."""
-        return _disc_coeffs(self.c, self.inst.terms.ring, self._terms)
 
     def disc(self, gamma):
         """The discriminant A1^2 - 4*A2*A0 at gamma."""

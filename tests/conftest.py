@@ -25,6 +25,7 @@ from resdiv.families import cohen_instance, seven_signed_instance, standalone_in
 from resdiv.polynomials import Poly
 from resdiv.remseq import build_instance
 from resdiv.rings import RING_ZX, QuadInt, exact_div, is_unit, quad_ring
+from resdiv.solver import _disc_coeffs
 
 CORPUS_SEED = 20260815
 GENERAL_DS = (-2, -3, -7, -11)
@@ -181,6 +182,14 @@ def fold_rational(E, F, G, m) -> tuple[int, int, int]:
     return (E.numerator * (den // E.denominator) * den,
             F.numerator * (den // F.denominator) * den * m,
             G.numerator * (den // G.denominator) * den * m * m)
+
+
+def row_coeffs(row):
+    """(E, F, G) with D(lam) = E*lam^2 + F*lam + G, exactly in the ring, of
+    a solver.RowSystem: the solver's formulas on the instance's terms and
+    the row's.  No search forms them; fastscan sieves on their images in
+    F_p, and the tests compare with these."""
+    return _disc_coeffs(row.c, row.inst.terms.ring, row._terms)
 
 
 def family_triples() -> list[tuple[int, int, int]]:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from conftest import family_triples, plant_poly, plant_quad, plant_rational, sqrt_rational
 
-from resdiv import fastscan
+from resdiv import algorithms, fastscan
 from resdiv.algorithms import (
     DivisorReport,
     divisors_poly,
@@ -211,6 +211,30 @@ def test_non_integer_rbound_rejected():
         find_divisors(build_instance(RING_Z, 12, 5, 1), rbound=2.5)
     want = find_divisors(inst, rbound=3).divisors
     assert find_divisors(inst, rbound=np.int64(3)).divisors == want
+
+
+def test_failed_search_releases_instance_terms(monkeypatch):
+    # a search that raises after a row formed the instance's row terms
+    # (ProblemInstance.terms) still lets them go, in every kind of ring
+    real = algorithms.solve_system
+    held = []
+
+    def failing(a, b, gamma, inst, row=None):
+        out = real(a, b, gamma, inst, row)
+        if row is not None:
+            held.append(inst._terms is not None)
+            raise RuntimeError("solver failed")
+        return out
+
+    monkeypatch.setattr(algorithms, "solve_system", failing)
+    rng = random.Random(12)
+    insts = [plant_quad(rng, -1, 100, 10**6)[0], plant_quad(rng, -7, 30, 1000)[0],
+             build_instance(RING_Z, 1001 * 2003, 1000, 1), plant_poly(rng)[0]]
+    for inst in insts:
+        with pytest.raises(RuntimeError, match="solver failed"):
+            find_divisors(inst)
+        assert inst._terms is None
+    assert held == [True] * len(insts)
 
 
 def test_quadratic_report_sorted_and_verified():

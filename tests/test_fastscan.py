@@ -1,5 +1,6 @@
 import random
 from math import isqrt, prod
+from types import SimpleNamespace
 
 import numpy as np
 from conftest import GENERAL_DS, plant_quad, rand_quad, rand_quad_disk
@@ -11,6 +12,8 @@ from resdiv.bench import sample_instance
 from resdiv.fastscan import (
     _DENSE_POINTS,
     _class_table,
+    _disc_images,
+    _images,
     _mod_small,
     _Pool,
     _quad_row,
@@ -19,6 +22,7 @@ from resdiv.fastscan import (
     _survivors,
     fast_row_candidates,
     get_pool,
+    sieve_rows,
 )
 from resdiv.remseq import _is_prime64, build_chain, build_instance
 from resdiv.rings import QuadInt, exact_div, quad_ring
@@ -89,6 +93,12 @@ def test_pool_covers_the_lambda_disk():
         assert got == expected
 
 
+def _exact_squares(E, F, G, pool):
+    """_squares for exact E, F and G: their images, then one column."""
+    e, f, g = _images([E, F, G], pool)[:, :, None].transpose(1, 0, 2)
+    return _squares(e, f, g, pool)[:, 0]
+
+
 def test_pool_class_index_matches_coordinates():
     rng = random.Random(2)
     for d in (-1,) + GENERAL_DS:
@@ -99,7 +109,7 @@ def test_pool_class_index_matches_coordinates():
             assert (pool.cls[k] == (pool.lu % p) * p + pool.lv % p).all()
             assert pool.slices[k].stop - pool.slices[k].start == p * p
             E, F, G = (rand_quad(rng, d, 1, 10**12) for _ in range(3))
-            full = _class_table(_squares(E, F, G, pool), pool, k)
+            full = _class_table(_exact_squares(E, F, G, pool), pool, k)
             assert full.shape == (p * p,)
             some = np.array(rng.sample(range(p * p), 40), dtype=np.int16)
             assert (full.take(some) == full[some]).all()
@@ -134,7 +144,7 @@ def test_disc_sq_matches_component_squareness():
             assert max(abs(E.u), abs(F.u), abs(G.u)) > 1 << 63
             s = next(z for z in range(1, p) if z * z % p == d % p)
             half = pow(2, -1, p)
-            got = _class_table(_squares(E, F, G, pool), pool, k).tolist()
+            got = _class_table(_exact_squares(E, F, G, pool), pool, k).tolist()
             want = []
             for cu in range(p):
                 for cv in range(p):
@@ -150,6 +160,68 @@ def test_disc_sq_matches_component_squareness():
                     want.append(_is_square_mod((D.u + s * D.v) * half, p)
                                 and _is_square_mod((D.u - s * D.v) * half, p))
             assert got == want
+
+
+def test_row_images_match_exact_coefficients():
+    # the solver's formulas on images in F_p give the exact E, F and G of
+    # every row reduced mod each p_k, in both components, in every ring;
+    # the inputs have coordinates up to 10^90 and every sign pattern, and
+    # E, F and G come from an expansion of their own
+    rng = random.Random(83)
+    signs = ((-1, 1), (1, -1), (-1, -1), (1, 1))
+    for d in (-1,) + GENERAL_DS:
+        pool = get_pool(d, 4)
+
+        def rand_el(k):
+            z = rand_quad(rng, d, 1, 10**180 if k % 3 else 10**6)
+            su, sv = signs[k % 4]
+            return QuadInt(su * abs(z.u), sv * abs(z.v), d)
+
+        for trial in range(3):
+            S, r, rp, N = (rand_el(trial + k) for k in range(4))
+            inst = SimpleNamespace(S=S, r=r, rPrime=rp, N=N)
+            rows = [tuple(rand_el(trial + k + j) for j in range(3)) for k in range(5)]
+            images = _disc_images(rows, inst, pool)
+            assert [v.shape for v in images] == [(16, 1), (16, 5), (16, 5)]
+            e, f, g = np.broadcast_arrays(*images)
+            for j, (a, b, c) in enumerate(rows):
+                core = S * S * c + S * rp * b - S * r * a
+                s3 = S * S * S
+                E = s3 * s3
+                F = 2 * s3 * core + 4 * s3 * S * a * r
+                G = core * core + 4 * s3 * a * r * c + 4 * S * S * a * b * (r * rp - N)
+                assert max(abs(G.u), abs(G.v)) > 1 << 63
+                for k, p in enumerate(pool.primes):
+                    s_k = next(z for z in range(1, p) if z * z % p == d % p)
+                    half = pow(2, -1, p)
+                    for comp, root in ((k, s_k), (8 + k, -s_k)):
+                        want = [(X.u + root * X.v) * half % p for X in (E, F, G)]
+                        got = [int(v[comp, j]) % p for v in (e, f, g)]
+                        assert got == want
+
+
+def test_batched_sieve_matches_one_row_sieve(monkeypatch):
+    # sieve_rows over all quadratic rows of a chain at once keeps, row by
+    # row, the survivors of sieving each row alone, on dense and on
+    # class-table pools in every ring; chains of 9 and more rows fill
+    # more than one byte of the packed dense sieve
+    rng = random.Random(84)
+    cases = [(-1, 8, sample_instance(rng, k)) for k in (12, 25, 40)]
+    cases += [(d, rb, plant_quad(rng, d, lo, hi)[0])
+              for d, rb in ((-1, 8), (-2, 12), (-3, 8), (-7, 14), (-11, 16))
+              for lo, hi in ((30, 1000), (10**12, 10**14))]
+    longest = kept = 0
+    for d, rb, inst in cases:
+        with monkeypatch.context() as m:
+            m.setattr(fastscan, "_DENSE_POINTS", 0)
+            loop_pool = _Pool(d, rb)
+        rows = build_chain(inst).triples[1:-1]
+        longest = max(longest, len(rows))
+        for pool in (get_pool(d, rb), loop_pool):
+            batched = sieve_rows(rows, inst, pool)
+            assert batched == [sieve_rows([row], inst, pool)[0] for row in rows]
+            kept += sum(map(len, batched))
+    assert longest > 8 and kept
 
 
 # per ring, a radius whose pool is just past _DENSE_POINTS
@@ -170,22 +242,27 @@ def test_survivors_match_class_tables_at_every_point():
             pool = get_pool(d, rb)
             assert (pool.dense is None) == (pool.lu.size > _DENSE_POINTS)
             assert (pool.dense is None) == (rb > 4)
+            oks, wants = [], []
             for drop in (0, 1, 2, 4, 8):
                 alpha, beta, rho = (rand_quad(rng, d, 10**39, 10**41) for _ in range(3))
                 M = prod(rng.sample(pool.primes, 8 - drop))
                 E, F, G = alpha * alpha, 2 * alpha * beta, beta * beta + M * rho
                 assert max(abs(E.u), abs(F.u), abs(G.u)) > 1 << 63
-                ok = _squares(E, F, G, pool)
+                ok = _exact_squares(E, F, G, pool)
                 per_prime = [_class_table(ok, pool, k).take(cls)
                              for k, cls in enumerate(pool.cls)]
-                want = np.flatnonzero(np.all(per_prime, axis=0))
-                assert _survivors(ok, pool).tolist() == want.tolist()
+                want = np.flatnonzero(np.all(per_prime, axis=0)).tolist()
+                assert _survivors(ok[:, None], pool) == [want]
+                oks.append(ok)
+                wants.append(want)
                 if drop == 0:
-                    assert want.size == pool.lu.size
+                    assert len(want) == pool.lu.size
                 if pool.dense is not None:
                     for k, hit in enumerate(per_prime):
                         dense_hit = ok.take(pool.dense[k]) & ok.take(pool.dense[8 + k])
                         assert (dense_hit == hit).all()
+            # the five as the columns of one sieve
+            assert _survivors(np.stack(oks, axis=1), pool) == wants
 
 
 def test_quad_row_matches_discriminant_reference(monkeypatch):
@@ -303,13 +380,22 @@ def test_fast_never_drops_exact_solutions_past_int64():
     assert final_hits >= 8
 
 
-def test_final_row_matches_norm_reference():
+def test_final_row_matches_norm_reference(monkeypatch):
     # the final row (0, u*S, 0) keeps exactly the pool gammas lam*S whose
     # cofactor S*lam*conj(u) + r' has a norm dividing normsq(N), in pool
     # order: on int64 arrays for a small S (normsq(N) below and past 2^63)
-    # and on Python ints for an S past the guard
+    # and on Python ints for an S past the guard; and on Python ints for
+    # every instance with the guard at 0, which sends all of them there
     rng = random.Random(80)
     hits = 0
+    int64_rows = []  # per instance, 1 if its final row ran on int64
+    real = fastscan._mod_small
+
+    def spy(n, m):
+        int64_rows[-1] = 1
+        return real(n, m)
+
+    monkeypatch.setattr(fastscan, "_mod_small", spy)
     for d, rb in ((-1, 8), (-2, 5), (-3, 6), (-7, 5), (-11, 5)):
         pool = get_pool(d, rb)
         lams = [QuadInt(u, v, d) for u, v in zip(pool.lu.tolist(), pool.lv.tolist())]
@@ -326,9 +412,17 @@ def test_final_row_matches_norm_reference():
                 ne = (inst.S * lam * w + inst.rPrime).normsq()
                 if ne and n_n % ne == 0:
                     want.append(lam * inst.S)
+            int64_rows.append(0)
             assert fast_row_candidates(a, b, c, inst, pool) == want
+            with monkeypatch.context() as m:
+                m.setattr(fastscan, "_INT64_GUARD", 0)
+                int64_rows.append(0)
+                assert fast_row_candidates(a, b, c, inst, pool) == want
             hits += len(want)
     assert hits >= 15
+    # in every ring the small-S instances ran on int64 and the large-S one
+    # past the guard; with the guard at 0, all of them ran past it
+    assert int64_rows == [1, 0, 1, 0, 0, 0] * 5
 
 
 def test_mod_small_matches_python_mod():

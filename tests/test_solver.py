@@ -11,6 +11,7 @@ from conftest import (
     plant_quad,
     plant_rational,
     rand_quad_disk,
+    row_coeffs,
     sqrt_rational,
     sympy_poly_factors,
 )
@@ -348,7 +349,7 @@ def test_row_discriminant_matches_per_gamma():
             if not a or not b:
                 continue
             row = RowSystem(a, b, c, inst)
-            E, F, G = row.coeffs()
+            E, F, G = row_coeffs(row)
             shifts = [0, rand_shift(), rand_shift()]
             if ring.is_poly:
                 shifts += [Fraction(n, row.m) for n in poly_rhs_candidates(a, b, inst)[1:3]]
@@ -453,7 +454,7 @@ def test_instance_terms_match_row_reference(z_corpus, zi_corpus, general_corpora
         for k in range(1, chain.t):
             a, b, c = chain.a[k], chain.b[k], chain.c[k]
             row = RowSystem(a, b, c, inst)
-            assert row.coeffs() == _ref_disc_coeffs(
+            assert row_coeffs(row) == _ref_disc_coeffs(
                 S, c, _ref_row_terms(S, inst.r, inst.rPrime, inst.N, a, b))
             if ring.is_quad:
                 lams = [0, rand_quad_disk(rng, ring.d, 100)]
